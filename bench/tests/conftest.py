@@ -1,0 +1,7 @@
+"""Path set-up for the harness's own tests (``python -m pytest bench/tests``)."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
