@@ -27,10 +27,10 @@ from typing import Optional
 
 from ..catalog.schema import TableDef
 from ..catalog.statistics import TableStats
-from ..qtree import exprutil
 from ..sql import ast
 from .costmodel import CostModel
 from .plans import IndexScan, Plan, TableScan
+from .predicates import ConjunctFacts, PredicateAnalysis
 from .selectivity import StatsContext, conjuncts_selectivity
 
 _RANGE_OPS = ("<", "<=", ">", ">=")
@@ -41,25 +41,28 @@ def base_table_paths(
     table: TableDef,
     table_stats: Optional[TableStats],
     conjuncts: list[ast.Expr],
-    local_aliases: set[str],
+    analysis: PredicateAnalysis,
     stats: StatsContext,
     cost_model: CostModel,
 ) -> list[Plan]:
     """All access paths for a base-table from-item.
 
     *conjuncts* are the block's conjuncts that mention this alias;
-    *local_aliases* are all from-item aliases of the block (used to tell
-    sibling references from outer-block correlation parameters).
+    *analysis* is the block's predicate analysis (it tells sibling
+    references from outer-block correlation parameters).
     """
     row_count = float(table_stats.row_count) if table_stats else 1000.0
-    truly_local = [
-        c for c in conjuncts if _is_local(c, alias, local_aliases)
+    bit = analysis.bits[alias]
+    bindable = [
+        facts for facts in map(analysis.facts, conjuncts)
+        if not facts.has_subquery
     ]
+    # a scan may evaluate what references no other alias of the block
+    truly_local = [f.conjunct for f in bindable if not f.mask & ~bit]
     paths: list[Plan] = [
         _full_scan(alias, table, row_count, truly_local, stats, cost_model)
     ]
-    bindable = [c for c in conjuncts if not ast.contains_subquery(c)]
-    eq_binds, range_binds = _classify(alias, bindable)
+    eq_binds, range_binds = _classify(alias, bit, bindable)
     for index in table.indexes:
         path = _index_path(
             alias, table, index, row_count, eq_binds, range_binds,
@@ -68,13 +71,6 @@ def base_table_paths(
         if path is not None:
             paths.append(path)
     return paths
-
-
-def _is_local(conjunct: ast.Expr, alias: str, local_aliases: set[str]) -> bool:
-    if ast.contains_subquery(conjunct):
-        return False
-    refs = exprutil.aliases_referenced(conjunct) & local_aliases
-    return refs <= {alias}
 
 
 def _full_scan(
@@ -95,36 +91,41 @@ def _full_scan(
     )
 
 
-def _classify(alias: str, conjuncts: list[ast.Expr]):
+def _classify(alias: str, bit: int, bindable: list[ConjunctFacts]):
     """Split bindable conjuncts into equality binds (column -> expr) and
     range binds (column -> (op, expr, conjunct))."""
     eq_binds: dict[str, tuple[ast.Expr, ast.Expr]] = {}
     range_binds: dict[str, tuple[str, ast.Expr, ast.Expr]] = {}
-    for conjunct in conjuncts:
-        bound = _bind_of(alias, conjunct)
+    for facts in bindable:
+        bound = _bind_of(alias, bit, facts)
         if bound is None:
             continue
         column, op, expr = bound
         if op == "=" and column not in eq_binds:
-            eq_binds[column] = (expr, conjunct)
+            eq_binds[column] = (expr, facts.conjunct)
         elif op in _RANGE_OPS and column not in range_binds:
-            range_binds[column] = (op, expr, conjunct)
+            range_binds[column] = (op, expr, facts.conjunct)
     return eq_binds, range_binds
 
 
-def _bind_of(alias: str, conjunct: ast.Expr) -> Optional[tuple[str, str, ast.Expr]]:
+def _bind_of(
+    alias: str, bit: int, facts: ConjunctFacts
+) -> Optional[tuple[str, str, ast.Expr]]:
     """Match ``alias.col <op> expr`` where expr does not reference alias."""
+    conjunct = facts.conjunct
     if not isinstance(conjunct, ast.BinOp) or not conjunct.is_comparison:
         return None
     left, right, op = conjunct.left, conjunct.right, conjunct.op
+    other_side = facts.right_mask
     if isinstance(right, ast.ColumnRef) and right.qualifier == alias and not (
         isinstance(left, ast.ColumnRef) and left.qualifier == alias
     ):
         left, right = right, left
         op = ast.MIRRORED_COMPARISON[op]
+        other_side = facts.left_mask
     if not (isinstance(left, ast.ColumnRef) and left.qualifier == alias):
         return None
-    if alias in exprutil.aliases_referenced(right):
+    if other_side & bit:
         return None
     return left.name, op, right
 

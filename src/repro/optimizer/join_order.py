@@ -18,12 +18,23 @@ Residual predicates that could not be embedded in scans or joins
 (correlated subquery predicates evaluated under TIS, expensive functions)
 arrive as :class:`PendingFilter` objects with a precomputed per-row cost
 and are applied at the earliest state whose alias set covers them.
+
+CBQT costs every transformation state by running this enumeration, so a
+step must be cheap (§3.4).  Everything a step asks of the predicates and
+paths is therefore analysed once, up front
+(:class:`~repro.optimizer.predicates.PredicateAnalysis`): alias subsets,
+conjunct references, path dependencies and pending-filter coverage are
+integers with one bit per alias, every candidate of a step is costed as
+plain ``(cost, cardinality)`` arithmetic, and plan nodes are built only
+for a step that beats the incumbent of its subset.  Choices are
+deterministic: aliases are tried in sorted order, a path's candidates in
+the order NL, hash, merge, and the first minimum wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from ..errors import OptimizerError
 from ..qtree import exprutil
@@ -38,7 +49,8 @@ from .plans import (
     Plan,
     ViewScan,
 )
-from .selectivity import StatsContext, conjuncts_selectivity
+from .predicates import ConjunctFacts, PredicateAnalysis
+from .selectivity import StatsContext, conjunct_selectivity
 
 #: DP is used up to this many from-items; greedy above.
 DEFAULT_DP_THRESHOLD = 8
@@ -69,6 +81,40 @@ class PendingFilter:
     per_row_cost: float
 
 
+class _Path(NamedTuple):
+    """One access path of a relation, with what a join step needs of it."""
+
+    plan: Plan
+    #: block aliases that must be joined before this path is usable
+    deps: int
+    #: aliases the path's rows expose
+    aliases: int
+    #: ids of the conjuncts an index probe consumes (not re-applied)
+    covered: frozenset[int]
+
+
+class _Rel(NamedTuple):
+    """A relation as the enumerator sees it: all masks and fact lists."""
+
+    bit: int
+    join_type: str
+    #: aliases that must precede it (partial order of non-inner joins)
+    predecessors: int
+    paths: list[_Path]
+    #: INNER: the WHERE join conjuncts mentioning this alias, each usable
+    #: once the rest of its mask is joined; otherwise the ON condition
+    conjuncts: list[ConjunctFacts]
+
+
+class _State(NamedTuple):
+    """The best plan found for one alias subset."""
+
+    plan: Plan
+    #: aliases whose columns the plan exposes: the subset minus
+    #: semi/anti-joined aliases
+    visible: int
+
+
 class JoinOrderEnumerator:
     def __init__(
         self,
@@ -79,373 +125,358 @@ class JoinOrderEnumerator:
         cost_model: CostModel,
         dp_threshold: int = DEFAULT_DP_THRESHOLD,
         budget: Optional[float] = None,
+        analysis: Optional[PredicateAnalysis] = None,
     ):
-        self._relations = {r.alias: r for r in relations}
-        self._join_conjuncts = join_conjuncts
-        self._filters = filters
+        by_alias = {r.alias: r for r in relations}
+        if analysis is None:
+            analysis = PredicateAnalysis(by_alias)
+        self._analysis = analysis
         self._stats = stats
         self._cm = cost_model
         self._dp_threshold = dp_threshold
         self._budget = budget
+        self._filters = [(analysis.mask_of(f.local_refs), f) for f in filters]
+        join_facts = [self._estimated(c) for c in join_conjuncts]
+        #: in sorted alias order, which is also ascending bit order
+        self._rels = [
+            self._prepare(by_alias[alias], join_facts) for alias in sorted(by_alias)
+        ]
+
+    def _prepare(self, relation: Relation, join_facts: list[ConjunctFacts]) -> _Rel:
+        analysis = self._analysis
+        bit = analysis.bits[relation.alias]
+        if relation.is_inner:
+            conjuncts = [f for f in join_facts if f.mask & bit]
+        else:
+            conjuncts = [
+                self._estimated(c, probe_keys=True)
+                for c in relation.join_conjuncts
+            ]
+        paths = [
+            _Path(
+                path,
+                analysis.mask_of(_path_dependencies(path)) & ~analysis.outer,
+                analysis.mask_of(path.aliases),
+                frozenset(id(c) for c in getattr(path, "covered_conjuncts", ())),
+            )
+            for path in relation.paths
+        ]
+        return _Rel(
+            bit, relation.join_type,
+            analysis.mask_of(relation.required_predecessors), paths, conjuncts,
+        )
+
+    def _estimated(
+        self, conjunct: ast.Expr, probe_keys: bool = False
+    ) -> ConjunctFacts:
+        """Facts of a join conjunct, with the estimates filled in
+        (*probe_keys*: also the key NDVs only semi/anti joins use)."""
+        facts = self._analysis.facts(conjunct)
+        if facts.selectivity is None:
+            facts.selectivity = conjunct_selectivity(conjunct, self._stats)
+        if probe_keys and not facts.key_ndvs:
+            facts.key_ndvs = key_ndvs = []
+            for col in exprutil.equality_columns(conjunct) or ():
+                bit = self._analysis.bits.get(col.qualifier)
+                col_stats = self._stats.column_stats(col.qualifier, col.name) \
+                    if bit else None
+                if col_stats is not None and col_stats.num_distinct:
+                    key_ndvs.append((bit, col_stats.num_distinct))
+        return facts
 
     # -- public -----------------------------------------------------------
 
     def best_plan(self) -> Plan:
-        if not self._relations:
+        rels = self._rels
+        if not rels:
             raise OptimizerError("query block has no from-items")
-        if len(self._relations) == 1:
-            relation = next(iter(self._relations.values()))
-            plan = self._leaf_plan(relation)
-            if plan is None:
-                raise OptimizerError(
-                    f"no usable access path for {relation.alias!r}"
-                )
-            return plan
-        if len(self._relations) <= self._dp_threshold:
+        if len(rels) == 1:
+            state = self._leaf(rels[0])
+            if state is None:
+                alias = self._analysis.names(rels[0].bit).pop()
+                raise OptimizerError(f"no usable access path for {alias!r}")
+            return state.plan
+        if len(rels) <= self._dp_threshold:
             return self._dp()
         return self._greedy()
 
     # -- leaf handling -------------------------------------------------------
 
-    def _leading_candidates(self, relation: Relation) -> list[Plan]:
-        """Paths usable when *relation* leads the join order."""
-        if not relation.is_inner or relation.required_predecessors:
-            return []
-        local = set(self._relations)
-        candidates = []
-        for path in relation.paths:
-            deps = _path_dependencies(path) & local
-            if not deps:
-                candidates.append(path)
-        return candidates
-
-    def _leaf_plan(self, relation: Relation) -> Optional[Plan]:
-        candidates = self._leading_candidates(relation)
+    def _leaf(self, rel: _Rel) -> Optional[_State]:
+        """*rel* leading the join order: its cheapest unparameterised
+        path, if it may lead at all."""
+        if rel.join_type != "INNER" or rel.predecessors:
+            return None
+        candidates = [path for path in rel.paths if not path.deps]
         if not candidates:
             return None
-        best = min(candidates, key=lambda p: p.cost)
-        return self._apply_filters(best, frozenset([relation.alias]), set())
-
-    def _apply_filters(
-        self, plan: Plan, covered: frozenset[str], already: set[int]
-    ) -> Plan:
-        """Wrap *plan* with every pending filter now evaluable."""
-        todo = [
-            f for f in self._filters
-            if id(f) not in already and f.local_refs <= covered
-        ]
-        for pending in todo:
-            already.add(id(pending))
-            rows_in = plan.cardinality
-            cost = plan.cost + rows_in * pending.per_row_cost
-            cardinality = rows_in * pending.selectivity
-            plan = Filter(plan, [pending.conjunct], cost, cardinality)
-        return plan
+        best = min(candidates, key=lambda path: path.plan.cost)
+        plan = best.plan
+        for mask, pending in self._filters:
+            if not mask & ~rel.bit:
+                plan = _filtered(plan, pending)
+        return _State(plan, best.aliases)
 
     # -- DP -----------------------------------------------------------------
 
     def _dp(self) -> Plan:
-        aliases = sorted(self._relations)
-        best: dict[frozenset[str], Plan] = {}
-        for alias in aliases:
-            relation = self._relations[alias]
-            plan = self._leaf_plan(relation)
-            if plan is not None:
-                best[frozenset([alias])] = plan
-
-        all_set = frozenset(aliases)
-        for size in range(1, len(aliases)):
-            for subset, plan in [
-                (s, p) for s, p in best.items() if len(s) == size
-            ]:
-                for alias in aliases:
-                    if alias in subset:
+        rels = self._rels
+        # levels[k]: subsets of k aliases in order of first discovery,
+        # which is the order the next level extends them in
+        levels: list[dict[int, _State]] = [{} for _ in range(len(rels) + 1)]
+        for rel in rels:
+            state = self._leaf(rel)
+            if state is not None:
+                levels[1][rel.bit] = state
+        for size in range(1, len(rels)):
+            reached = levels[size + 1]
+            for subset, state in levels[size].items():
+                for rel in rels:
+                    if subset & rel.bit:
                         continue
-                    extended = subset | {alias}
-                    candidate = self._extend(plan, subset, alias)
-                    if candidate is None:
-                        continue
-                    incumbent = best.get(extended)
-                    if incumbent is None or candidate.cost < incumbent.cost:
-                        best[frozenset(extended)] = candidate
-        final = best.get(all_set)
+                    incumbent = reached.get(subset | rel.bit)
+                    candidate = self._extend(
+                        state, subset, rel,
+                        None if incumbent is None else incumbent.plan.cost,
+                    )
+                    if candidate is not None:
+                        reached[subset | rel.bit] = candidate
+        final = levels[-1].get(sum(rel.bit for rel in rels))
         if final is None:
-            if self._budget is not None:
-                from .physical import CostBudgetExceeded
-
-                raise CostBudgetExceeded(
-                    "every join order exceeded the cost budget"
-                )
-            raise OptimizerError(
-                "no valid join order (unsatisfiable partial order constraints)"
+            self._fail(
+                "every join order exceeded the cost budget",
+                "no valid join order (unsatisfiable partial order constraints)",
             )
-        return final
+        return final.plan
 
     def _greedy(self) -> Plan:
-        remaining = set(self._relations)
-        plan: Optional[Plan] = None
-        covered: frozenset[str] = frozenset()
-        # cheapest viable leader
-        leaders = [
-            (p.cost, alias, p)
-            for alias in remaining
-            for p in [self._leaf_plan(self._relations[alias])]
-            if p is not None
-        ]
-        if not leaders:
+        remaining = list(self._rels)
+        state: Optional[_State] = None
+        lead: Optional[_Rel] = None
+        for rel in remaining:  # cheapest viable leader
+            leaf = self._leaf(rel)
+            if leaf is not None and (
+                state is None or leaf.plan.cost < state.plan.cost
+            ):
+                state, lead = leaf, rel
+        if state is None or lead is None:
             raise OptimizerError("no relation can lead the join order")
-        _, lead_alias, plan = min(leaders, key=lambda t: t[0])
-        covered = frozenset([lead_alias])
-        remaining.discard(lead_alias)
+        covered = lead.bit
+        remaining.remove(lead)
         while remaining:
-            step_best: Optional[tuple[float, str, Plan]] = None
-            for alias in remaining:
-                candidate = self._extend(plan, covered, alias)
-                if candidate is None:
-                    continue
-                if step_best is None or candidate.cost < step_best[0]:
-                    step_best = (candidate.cost, alias, candidate)
-            if step_best is None:
-                if self._budget is not None:
-                    from .physical import CostBudgetExceeded
-
-                    raise CostBudgetExceeded(
-                        "every greedy join step exceeded the cost budget"
-                    )
-                raise OptimizerError(
-                    "greedy join ordering got stuck on partial-order constraints"
+            step: Optional[_State] = None
+            joined: Optional[_Rel] = None
+            for rel in remaining:
+                candidate = self._extend(
+                    state, covered, rel,
+                    None if step is None else step.plan.cost,
                 )
-            _, alias, plan = step_best
-            covered = covered | {alias}
-            remaining.discard(alias)
-        return plan
+                if candidate is not None:
+                    step, joined = candidate, rel
+            if step is None or joined is None:
+                self._fail(
+                    "every greedy join step exceeded the cost budget",
+                    "greedy join ordering got stuck on partial-order constraints",
+                )
+            state = step
+            covered |= joined.bit
+            remaining.remove(joined)
+        return state.plan
+
+    def _fail(self, over_budget: str, stuck: str) -> NoReturn:
+        if self._budget is not None:
+            from .physical import CostBudgetExceeded
+
+            raise CostBudgetExceeded(over_budget)
+        raise OptimizerError(stuck)
 
     # -- join step -------------------------------------------------------------
 
     def _extend(
-        self, left: Plan, subset: frozenset[str], alias: str
-    ) -> Optional[Plan]:
-        relation = self._relations[alias]
-        if not relation.required_predecessors <= subset:
+        self, left: _State, subset: int, rel: _Rel, limit: Optional[float]
+    ) -> Optional[_State]:
+        """Join *rel* to the plan of *subset* by the cheapest (path,
+        method) and apply the pending filters that become evaluable.
+        Returns None when the step is not allowed, or when it does not
+        cost less than *limit* (no plan nodes are built then)."""
+        if rel.predecessors & ~subset:
             return None
-        if self._budget is not None and left.cost > self._budget:
+        left_plan, visible = left
+        left_cost, left_card = left_plan.cost, left_plan.cardinality
+        if self._budget is not None and left_cost > self._budget:
             return None
-
-        extended = subset | {alias}
-        if relation.is_inner:
-            conjuncts = [
-                c for c in self._join_conjuncts
-                if self._applies_now(c, subset, alias)
-            ]
-            join_type = "INNER"
-        else:
-            conjuncts = list(relation.join_conjuncts)
-            join_type = relation.join_type
-
-        candidates: list[Plan] = []
-        local = set(self._relations)
-        for path in relation.paths:
-            deps = _path_dependencies(path) & local
-            if not deps <= subset:
-                continue
-            candidates.extend(
-                self._join_candidates(
-                    left, path, join_type, conjuncts, parameterised=bool(deps)
-                )
-            )
-        if not candidates:
-            return None
-        best = min(candidates, key=lambda p: p.cost)
-        applied = {
-            id(f) for f in self._filters if f.local_refs <= subset
-        }
-        return self._apply_filters(best, frozenset(extended), applied)
-
-    def _applies_now(
-        self, conjunct: ast.Expr, subset: frozenset[str], alias: str
-    ) -> bool:
-        refs = exprutil.aliases_referenced(conjunct) & set(self._relations)
-        return alias in refs and refs <= (subset | {alias})
-
-    def _join_candidates(
-        self,
-        left: Plan,
-        right: Plan,
-        join_type: str,
-        conjuncts: list[ast.Expr],
-        parameterised: bool,
-    ) -> list[Plan]:
-        covered = getattr(right, "covered_conjuncts", [])
-        covered_ids = {id(c) for c in covered}
-        residual = [c for c in conjuncts if id(c) not in covered_ids]
-
-        candidates = [
-            self._nl_join(left, right, join_type, residual, parameterised)
-        ]
-        if not parameterised:
-            equi = _equi_split(left.aliases, right.aliases, residual)
-            if equi is not None:
-                left_keys, right_keys, rest = equi
-                # The null-aware antijoin needs full three-valued
-                # evaluation of the condition; hashing can only model it
-                # for a single bare key with no residual (the NOT IN
-                # case), and merge not at all.
-                hashable = join_type != "ANTI_NA" or (
-                    len(left_keys) == 1 and not rest
-                )
-                if hashable:
-                    candidates.append(
-                        self._hash_join(
-                            left, right, join_type, left_keys, right_keys, rest
-                        )
-                    )
-                if join_type != "ANTI_NA":
-                    candidates.append(
-                        self._merge_join(
-                            left, right, join_type, left_keys, right_keys, rest
-                        )
-                    )
-        return candidates
-
-    # -- join method costing ----------------------------------------------------
-
-    def _join_selectivity(self, conjuncts: list[ast.Expr]) -> float:
-        return conjuncts_selectivity(conjuncts, self._stats)
-
-    def _output_cardinality(
-        self, left: Plan, right: Plan, join_type: str, conjuncts: list[ast.Expr],
-        right_parameterised: bool,
-    ) -> float:
-        sel = self._join_selectivity(conjuncts)
-        # A parameterised path's cardinality is rows *per probe*, so the
-        # product form below covers both cases.
-        inner_card = left.cardinality * right.cardinality * sel
+        cm = self._cm
+        join_type = rel.join_type
+        extended = subset | rel.bit
         if join_type == "INNER":
-            return inner_card
-        if join_type == "LEFT":
-            return max(left.cardinality, inner_card)
-        match_prob = min(1.0, right.cardinality * sel)
-        if join_type == "SEMI":
-            return left.cardinality * match_prob
-        return left.cardinality * (1.0 - match_prob)  # ANTI / ANTI_NA
+            conjuncts = [f for f in rel.conjuncts if not f.mask & ~extended]
+        else:
+            conjuncts = rel.conjuncts
 
-    def _left_key_ndv(self, left: Plan, conjuncts: list[ast.Expr]) -> float:
-        """Distinct left-side key combinations, for semijoin caching."""
-        ndv = 1.0
-        found = False
-        for conjunct in conjuncts:
-            pair = exprutil.equality_columns(conjunct)
-            if pair is None:
+        # (cost, cardinality, path, join node class, keys, non-key conjuncts)
+        best: Optional[tuple] = None
+        for path in rel.paths:
+            if path.deps & ~subset:
                 continue
-            for col in pair:
-                if col.qualifier in left.aliases:
-                    stats = self._stats.column_stats(col.qualifier, col.name)
-                    if stats is not None and stats.num_distinct:
-                        ndv *= stats.num_distinct
-                        found = True
-        if not found:
-            return left.cardinality
-        return min(ndv, max(left.cardinality, 1.0))
+            right = path.plan
+            right_cost, right_card = right.cost, right.cardinality
+            covered = path.covered
+            residual = [
+                f for f in conjuncts if id(f.conjunct) not in covered
+            ] if covered else conjuncts
 
-    def _nl_join(
-        self,
-        left: Plan,
-        right: Plan,
-        join_type: str,
-        conjuncts: list[ast.Expr],
-        parameterised: bool,
-    ) -> Plan:
-        cm = self._cm
-        out_card = self._output_cardinality(
-            left, right, join_type, conjuncts, parameterised
-        )
-        probes = max(left.cardinality, 0.0)
-        if join_type in ("SEMI", "ANTI", "ANTI_NA"):
-            # Stop at first match + result caching for duplicate left keys.
-            distinct_probes = min(probes, self._left_key_ndv(left, conjuncts))
-            cache_cost = probes * cm.tis_cache_probe
+            # nested loops
+            sel = 1.0
+            for f in residual:
+                sel *= f.selectivity
+            out_card = _output_cardinality(join_type, left_card, right_card, sel)
+            probes = max(left_card, 0.0)
+            if join_type in ("SEMI", "ANTI", "ANTI_NA"):
+                # Stop at first match + result caching for duplicate left keys.
+                distinct_probes = min(
+                    probes, _left_key_ndv(visible, left_card, residual)
+                )
+                cache_cost = probes * cm.tis_cache_probe
+            else:
+                distinct_probes = probes
+                cache_cost = 0.0
+            # A parameterised path's cost and cardinality are per probe.
+            per_probe = right_cost if path.deps else right_card * cm.pipeline_row
+            stop_factor = 0.5 if join_type == "SEMI" else 1.0
+            inner_cost = distinct_probes * per_probe * stop_factor
+            predicate_cost = (
+                distinct_probes * right_card * cm.predicate_eval
+                * max(len(residual), 1) * stop_factor
+            )
+            setup_cost = 0.0 if path.deps else right_cost
+            cost = (
+                left_cost
+                + setup_cost
+                + inner_cost
+                + predicate_cost
+                + cache_cost
+                + out_card * cm.pipeline_row
+            )
+            if best is None or cost < best[0]:
+                best = (cost, out_card, path, NestedLoopJoin, None, residual)
+            if path.deps:
+                continue
+
+            keys, rest = _equi_split(visible, path.aliases, residual)
+            if not keys:
+                continue
+            sel = 1.0
+            for f, _swapped in keys:
+                sel *= f.selectivity
+            for f in rest:
+                sel *= f.selectivity
+            out_card = _output_cardinality(join_type, left_card, right_card, sel)
+            # The null-aware antijoin needs full three-valued evaluation
+            # of the condition; hashing can only model it for a single
+            # bare key with no residual (the NOT IN case), and merge not
+            # at all.
+            if join_type != "ANTI_NA" or (len(keys) == 1 and not rest):
+                cost = (
+                    left_cost
+                    + right_cost
+                    + cm.hash_build_cost(right_card)
+                    + cm.hash_probe_cost(left_card)
+                    + left_card * cm.predicate_eval * len(rest)
+                    + out_card * cm.pipeline_row
+                )
+                if cost < best[0]:
+                    best = (cost, out_card, path, HashJoin, keys, rest)
+            if join_type != "ANTI_NA":
+                cost = (
+                    left_cost
+                    + right_cost
+                    + cm.sort_cost(left_card)
+                    + cm.sort_cost(right_card)
+                    + (left_card + right_card) * cm.pipeline_row
+                    + out_card * cm.pipeline_row
+                )
+                if cost < best[0]:
+                    best = (cost, out_card, path, MergeJoin, keys, rest)
+        if best is None:
+            return None
+
+        cost, card, path, join, keys, applied = best
+        newly = [
+            pending for mask, pending in self._filters
+            if not mask & ~extended and mask & ~subset
+        ]
+        total = cost
+        rows = card
+        for pending in newly:
+            total = total + rows * pending.per_row_cost
+            rows = rows * pending.selectivity
+        if limit is not None and not total < limit:
+            return None
+
+        if keys is None:
+            plan: Plan = NestedLoopJoin(
+                left_plan, path.plan, join_type,
+                [f.conjunct for f in applied], cost, card,
+            )
         else:
-            distinct_probes = probes
-            cache_cost = 0.0
+            left_keys = [
+                f.conjunct.right if swapped else f.conjunct.left
+                for f, swapped in keys
+            ]
+            right_keys = [
+                f.conjunct.left if swapped else f.conjunct.right
+                for f, swapped in keys
+            ]
+            plan = join(
+                left_plan, path.plan, join_type, left_keys, right_keys,
+                [f.conjunct for f in applied], cost, card,
+            )
+        for pending in newly:
+            plan = _filtered(plan, pending)
+        if join_type in ("INNER", "LEFT"):
+            visible |= path.aliases
+        return _State(plan, visible)
 
-        if parameterised:
-            per_probe = right.cost
-            scan_rows = right.cardinality
-        else:
-            per_probe = right.cardinality * cm.pipeline_row
-            scan_rows = right.cardinality
-        stop_factor = 0.5 if join_type == "SEMI" else 1.0
-        inner_cost = distinct_probes * per_probe * stop_factor
-        predicate_cost = (
-            distinct_probes * scan_rows * cm.predicate_eval * max(len(conjuncts), 1)
-            * stop_factor
-        )
-        setup_cost = 0.0 if parameterised else right.cost
-        cost = (
-            left.cost
-            + setup_cost
-            + inner_cost
-            + predicate_cost
-            + cache_cost
-            + out_card * cm.pipeline_row
-        )
-        return NestedLoopJoin(left, right, join_type, conjuncts, cost, out_card)
 
-    def _hash_join(
-        self,
-        left: Plan,
-        right: Plan,
-        join_type: str,
-        left_keys: list[ast.Expr],
-        right_keys: list[ast.Expr],
-        residual: list[ast.Expr],
-    ) -> Plan:
-        cm = self._cm
-        all_conjuncts = [
-            ast.BinOp("=", l, r) for l, r in zip(left_keys, right_keys)
-        ] + residual
-        out_card = self._output_cardinality(
-            left, right, join_type, all_conjuncts, right_parameterised=False
-        )
-        cost = (
-            left.cost
-            + right.cost
-            + cm.hash_build_cost(right.cardinality)
-            + cm.hash_probe_cost(left.cardinality)
-            + left.cardinality * cm.predicate_eval * len(residual)
-            + out_card * cm.pipeline_row
-        )
-        return HashJoin(
-            left, right, join_type, left_keys, right_keys, residual, cost, out_card
-        )
+def _filtered(plan: Plan, pending: PendingFilter) -> Filter:
+    rows_in = plan.cardinality
+    return Filter(
+        plan, [pending.conjunct],
+        plan.cost + rows_in * pending.per_row_cost,
+        rows_in * pending.selectivity,
+    )
 
-    def _merge_join(
-        self,
-        left: Plan,
-        right: Plan,
-        join_type: str,
-        left_keys: list[ast.Expr],
-        right_keys: list[ast.Expr],
-        residual: list[ast.Expr],
-    ) -> Plan:
-        cm = self._cm
-        all_conjuncts = [
-            ast.BinOp("=", l, r) for l, r in zip(left_keys, right_keys)
-        ] + residual
-        out_card = self._output_cardinality(
-            left, right, join_type, all_conjuncts, right_parameterised=False
-        )
-        cost = (
-            left.cost
-            + right.cost
-            + cm.sort_cost(left.cardinality)
-            + cm.sort_cost(right.cardinality)
-            + (left.cardinality + right.cardinality) * cm.pipeline_row
-            + out_card * cm.pipeline_row
-        )
-        return MergeJoin(
-            left, right, join_type, left_keys, right_keys, residual, cost, out_card
-        )
+
+def _output_cardinality(
+    join_type: str, left_card: float, right_card: float, sel: float
+) -> float:
+    # A parameterised path's cardinality is rows *per probe*, so the
+    # product form below covers both cases.
+    inner_card = left_card * right_card * sel
+    if join_type == "INNER":
+        return inner_card
+    if join_type == "LEFT":
+        return max(left_card, inner_card)
+    match_prob = min(1.0, right_card * sel)
+    if join_type == "SEMI":
+        return left_card * match_prob
+    return left_card * (1.0 - match_prob)  # ANTI / ANTI_NA
+
+
+def _left_key_ndv(
+    visible: int, left_card: float, conjuncts: list[ConjunctFacts]
+) -> float:
+    """Distinct left-side key combinations, for semijoin caching."""
+    ndv = 1.0
+    found = False
+    for facts in conjuncts:
+        for bit, distinct in facts.key_ndvs:
+            if bit & visible:
+                ndv *= distinct
+                found = True
+    if not found:
+        return left_card
+    return min(ndv, max(left_card, 1.0))
 
 
 def _path_dependencies(path: Plan) -> set[str]:
@@ -457,29 +488,22 @@ def _path_dependencies(path: Plan) -> set[str]:
 
 
 def _equi_split(
-    left_aliases: frozenset[str],
-    right_aliases: frozenset[str],
-    conjuncts: list[ast.Expr],
-) -> Optional[tuple[list[ast.Expr], list[ast.Expr], list[ast.Expr]]]:
-    """Split conjuncts into hash keys (left expr, right expr) and
-    residuals.  Returns None when no equi-key exists."""
-    left_keys: list[ast.Expr] = []
-    right_keys: list[ast.Expr] = []
-    rest: list[ast.Expr] = []
-    for conjunct in conjuncts:
-        if isinstance(conjunct, ast.BinOp) and conjunct.op == "=" \
-                and not ast.contains_subquery(conjunct):
-            l_refs = exprutil.aliases_referenced(conjunct.left)
-            r_refs = exprutil.aliases_referenced(conjunct.right)
-            if l_refs and l_refs <= left_aliases and r_refs and r_refs <= right_aliases:
-                left_keys.append(conjunct.left)
-                right_keys.append(conjunct.right)
+    left_aliases: int, right_aliases: int, conjuncts: list[ConjunctFacts]
+) -> tuple[list[tuple[ConjunctFacts, bool]], list[ConjunctFacts]]:
+    """Split conjuncts into hash keys and residuals.  A key is an
+    equi-conjunct with one side over the left aliases only and the other
+    over the right aliases only; it is *swapped* when the conjunct's
+    right-hand side is the left input's key."""
+    keys: list[tuple[ConjunctFacts, bool]] = []
+    rest: list[ConjunctFacts] = []
+    for facts in conjuncts:
+        left, right = facts.left_mask, facts.right_mask
+        if facts.equi and left and right:
+            if not left & ~left_aliases and not right & ~right_aliases:
+                keys.append((facts, False))
                 continue
-            if l_refs and l_refs <= right_aliases and r_refs and r_refs <= left_aliases:
-                left_keys.append(conjunct.right)
-                right_keys.append(conjunct.left)
+            if not left & ~right_aliases and not right & ~left_aliases:
+                keys.append((facts, True))
                 continue
-        rest.append(conjunct)
-    if not left_keys:
-        return None
-    return left_keys, right_keys, rest
+        rest.append(facts)
+    return keys, rest

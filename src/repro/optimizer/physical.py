@@ -17,8 +17,9 @@ from typing import Optional
 from ..catalog.schema import Catalog
 from ..catalog.statistics import ColumnStats, StatisticsRegistry, TableStats
 from ..errors import OptimizerError
-from ..qtree import exprutil, signature
+from ..qtree import signature
 from ..qtree.blocks import FromItem, QueryBlock, QueryNode, SetOpBlock
+from ..qtree.sqlgen import rendered_once
 from ..sql import ast
 from .access_paths import base_table_paths
 from .annotations import AnnotationStore
@@ -42,6 +43,7 @@ from .plans import (
     ViewScan,
     WindowCompute,
 )
+from .predicates import ConjunctFacts, PredicateAnalysis
 from .selectivity import conjunct_selectivity, conjuncts_selectivity
 
 
@@ -117,6 +119,9 @@ class PhysicalOptimizer:
         #: None means memo-off (statement uses peeked binds, the feature
         #: is disabled, or a direct construction such as the benches)
         self.memo = memo
+        #: ``id(node) -> (node, correlation refs)`` for the duration of
+        #: one :meth:`optimize` call, during which the tree is not mutated
+        self._correlation: Optional[dict[int, tuple[QueryNode, list]]] = None
 
     # -- public ------------------------------------------------------------
 
@@ -126,12 +131,28 @@ class PhysicalOptimizer:
         Raises :class:`CostBudgetExceeded` if no plan within *budget*
         exists (used by the CBQT cost cut-off).
         """
-        plan = self._optimize_node(node, budget)
+        self._correlation = {}
+        try:
+            with rendered_once():
+                plan = self._optimize_node(node, budget)
+        finally:
+            self._correlation = None
         if budget is not None and plan.cost > budget:
             raise CostBudgetExceeded(
                 f"plan cost {plan.cost:.0f} exceeds budget {budget:.0f}"
             )
         return plan
+
+    def _correlation_refs(self, node: QueryNode) -> list[ast.ColumnRef]:
+        """``node.correlation_refs()``, traversing each subtree once per
+        :meth:`optimize` call."""
+        cache = self._correlation
+        if cache is None:
+            return node.correlation_refs()
+        entry = cache.get(id(node))
+        if entry is None:
+            entry = cache[id(node)] = (node, node.correlation_refs())
+        return entry[1]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -197,27 +218,30 @@ class PhysicalOptimizer:
         self.counters.blocks_optimized += 1
         cm = self._cm
         local_aliases = block.aliases()
+        # every later stage asks the same conjuncts the same questions
+        # (aliases referenced, subquery inside?): answer them once
+        analysis = PredicateAnalysis(local_aliases, self._correlation_refs)
 
-        plain: list[ast.Expr] = []
-        subquery_conjuncts: list[ast.Expr] = []
-        expensive_conjuncts: list[ast.Expr] = []
-        for conjunct in block.where_conjuncts:
-            if ast.contains_subquery(conjunct):
-                subquery_conjuncts.append(conjunct)
-            elif self._expensive_call_cost(conjunct) > 0.0:
+        plain: list[ConjunctFacts] = []
+        subquery_conjuncts: list[ConjunctFacts] = []
+        expensive_conjuncts: list[ConjunctFacts] = []
+        for facts in map(analysis.facts, block.where_conjuncts):
+            if facts.has_subquery:
+                subquery_conjuncts.append(facts)
+            elif self._expensive_call_cost(facts.conjunct) > 0.0:
                 # Expensive (procedural / user-defined) predicates are
                 # never embedded in scans; they are costed per row so the
                 # predicate-pullup transformation (§2.2.6) has a real
                 # trade-off to optimize.
-                expensive_conjuncts.append(conjunct)
+                expensive_conjuncts.append(facts)
             else:
-                plain.append(conjunct)
+                plain.append(facts)
 
         alias_stats: dict[str, Optional[TableStats]] = {}
         relations: list[Relation] = []
-        non_inner_aliases = {
+        non_inner = analysis.mask_of(
             item.alias for item in block.from_items if not item.is_inner
-        }
+        )
         # First pass: stats for base tables so view planning can use them.
         for item in block.from_items:
             if item.is_base_table:
@@ -230,9 +254,9 @@ class PhysicalOptimizer:
                 # filter *after* the outer join; only the ON condition may
                 # be embedded in its access path.
                 if item.is_inner:
+                    bit = analysis.bits[item.alias]
                     relevant = [
-                        c for c in plain
-                        if item.alias in exprutil.aliases_referenced(c)
+                        f.conjunct for f in plain if f.mask & bit
                     ] + item.join_conjuncts
                 else:
                     relevant = list(item.join_conjuncts)
@@ -241,12 +265,14 @@ class PhysicalOptimizer:
                     self._catalog.table(item.table_name),
                     alias_stats[item.alias],
                     relevant,
-                    local_aliases,
+                    analysis,
                     stats_ctx,
                     cm,
                 )
             else:
-                paths = [self._plan_view(item, block, plain, stats_ctx, budget)]
+                paths = [
+                    self._plan_view(item, analysis, plain, stats_ctx, budget)
+                ]
                 alias_stats[item.alias] = self._derive_view_stats(
                     item.subquery, paths[0]
                 )
@@ -262,45 +288,38 @@ class PhysicalOptimizer:
 
         join_conjuncts: list[ast.Expr] = []
         pending: list[PendingFilter] = []
-        for conjunct in plain:
-            refs = exprutil.aliases_referenced(conjunct) & local_aliases
-            if len(refs) >= 2 and not (refs & non_inner_aliases):
-                join_conjuncts.append(conjunct)
-            elif len(refs) >= 2 or (refs & non_inner_aliases):
-                # References a null-supplying side: apply after that join.
+        for facts in plain:
+            mask = facts.mask
+            several = mask & (mask - 1)  # references two or more aliases
+            if several and not mask & non_inner:
+                join_conjuncts.append(facts.conjunct)
+            elif several or mask & non_inner or not mask:
+                # References a null-supplying side (apply after that
+                # join), or no alias of the block at all.
                 pending.append(
                     PendingFilter(
-                        conjunct,
-                        refs,
-                        conjunct_selectivity(conjunct, stats_ctx),
-                        cm.predicate_eval,
-                    )
-                )
-            elif not refs:
-                pending.append(
-                    PendingFilter(
-                        conjunct,
-                        refs,
-                        conjunct_selectivity(conjunct, stats_ctx),
+                        facts.conjunct,
+                        analysis.names(mask),
+                        conjunct_selectivity(facts.conjunct, stats_ctx),
                         cm.predicate_eval,
                     )
                 )
             # single-alias conjuncts were embedded in access paths
 
-        for conjunct in expensive_conjuncts:
-            refs = exprutil.aliases_referenced(conjunct) & local_aliases
+        for facts in expensive_conjuncts:
+            conjunct = facts.conjunct
             pending.append(
                 PendingFilter(
                     conjunct,
-                    refs,
+                    analysis.names(facts.mask),
                     conjunct_selectivity(conjunct, stats_ctx),
                     self._cm.predicate_eval + self._expensive_call_cost(conjunct),
                 )
             )
 
-        for conjunct in subquery_conjuncts:
+        for facts in subquery_conjuncts:
             pending.append(
-                self._subquery_filter(conjunct, block, stats_ctx, budget)
+                self._subquery_filter(facts, analysis, stats_ctx, budget)
             )
 
         memo = self.memo
@@ -318,6 +337,7 @@ class PhysicalOptimizer:
                 cm,
                 self._dp_threshold,
                 budget,
+                analysis,
             )
             plan = enumerator.best_plan()
             self.counters.join_orders_considered += 1
@@ -372,26 +392,25 @@ class PhysicalOptimizer:
     def _plan_view(
         self,
         item: FromItem,
-        block: QueryBlock,
-        plain: list[ast.Expr],
+        analysis: PredicateAnalysis,
+        plain: list[ConjunctFacts],
         stats_ctx: BlockStatsContext,
         budget: Optional[float],
     ) -> ViewScan:
         subplan = self._optimize_node(item.subquery, budget)
         correlation_keys = sorted({
             (ref.qualifier, ref.name)
-            for ref in item.subquery.correlation_refs()
+            for ref in self._correlation_refs(item.subquery)
             if ref.qualifier
         })
         lateral_refs = {
             qualifier for qualifier, _name in correlation_keys
-            if qualifier in block.aliases()
+            if qualifier in analysis.bits
         }
+        # the WHERE conjuncts over this view alone filter its output
+        bit = analysis.bits[item.alias]
         local = [
-            c for c in plain
-            if item.is_inner
-            and exprutil.aliases_referenced(c) & block.aliases() <= {item.alias}
-            and item.alias in exprutil.aliases_referenced(c)
+            f.conjunct for f in plain if item.is_inner and f.mask == bit
         ]
         sel = conjuncts_selectivity(local, stats_ctx)
         cm = self._cm
@@ -451,8 +470,8 @@ class PhysicalOptimizer:
 
     def _subquery_filter(
         self,
-        conjunct: ast.Expr,
-        block: QueryBlock,
+        facts: ConjunctFacts,
+        analysis: PredicateAnalysis,
         stats_ctx: BlockStatsContext,
         budget: Optional[float],
     ) -> PendingFilter:
@@ -460,9 +479,7 @@ class PhysicalOptimizer:
         (tuple iteration semantics) with correlation-value caching."""
         cm = self._cm
         per_row = cm.predicate_eval
-        local_refs: set[str] = (
-            exprutil.aliases_referenced(conjunct) & block.aliases()
-        )
+        conjunct = facts.conjunct
         for node in conjunct.walk():
             if not isinstance(node, ast.SubqueryExpr):
                 continue
@@ -470,8 +487,8 @@ class PhysicalOptimizer:
                 raise OptimizerError("subquery was not built into a query tree")
             subplan = self._optimize_node(node.query, budget)
             corr = [
-                ref for ref in node.query.correlation_refs()
-                if ref.qualifier in block.aliases()
+                ref for ref in self._correlation_refs(node.query)
+                if ref.qualifier in analysis.bits
             ]
             if not corr:
                 # Uncorrelated: executed once, then probed from cache.
@@ -491,7 +508,7 @@ class PhysicalOptimizer:
             per_row += cm.tis_cache_probe + subplan.cost * cache_factor
         return PendingFilter(
             conjunct,
-            local_refs,
+            analysis.names(facts.mask),
             self._subquery_conjunct_selectivity(conjunct, stats_ctx),
             per_row,
         )

@@ -148,6 +148,13 @@ class QueryNode:
         itself, derived tables, subqueries in predicates, set-op branches."""
         raise NotImplementedError
 
+    def correlation_refs(self) -> list[ast.ColumnRef]:
+        """Column references in this subtree to aliases bound outside it."""
+        raise NotImplementedError
+
+    def _collect_refs(self, bound: set[str], refs: list[ast.ColumnRef]) -> None:
+        raise NotImplementedError
+
 
 class QueryBlock(QueryNode):
     """A single declarative SELECT block."""
@@ -289,24 +296,34 @@ class QueryBlock(QueryNode):
         """Column references inside this subtree that are *not* bound by
         this block or any nested block — i.e. correlations to outer query
         blocks."""
-        bound = self.bound_aliases_recursive()
+        bound: set[str] = set()
         refs: list[ast.ColumnRef] = []
+        self._collect_refs(bound, refs)
+        return [ref for ref in refs if ref.qualifier not in bound]
 
-        def scan_block(block: QueryBlock) -> None:
-            exprs: list[ast.Expr] = [item.expr for item in block.select_items]
-            exprs.extend(block.all_conjuncts())
-            exprs.extend(block.group_by)
-            exprs.extend(o.expr for o in block.order_by)
-            for expr in exprs:
-                for node in expr.walk():
-                    if isinstance(node, ast.ColumnRef) and node.qualifier \
-                            and node.qualifier not in bound:
-                        refs.append(node)
-
-        for block in self.iter_blocks():
-            if isinstance(block, QueryBlock):
-                scan_block(block)
-        return refs
+    def _collect_refs(self, bound: set[str], refs: list[ast.ColumnRef]) -> None:
+        """One traversal of this subtree: add the aliases it binds to
+        *bound* and every qualified column reference to *refs*, block by
+        block in :meth:`iter_blocks` order."""
+        bound.update(item.alias for item in self.from_items)
+        nested: list[ast.SubqueryExpr] = []
+        select_nested: list[ast.SubqueryExpr] = []
+        for select in self.select_items:
+            _scan_expr(select.expr, refs, select_nested)
+        for conjunct in self.all_conjuncts():
+            _scan_expr(conjunct, refs, nested)
+        # subqueries in GROUP BY / ORDER BY are not part of the tree
+        unreachable: list[ast.SubqueryExpr] = []
+        for expr in self.group_by:
+            _scan_expr(expr, refs, unreachable)
+        for order in self.order_by:
+            _scan_expr(order.expr, refs, unreachable)
+        for item in self.from_items:
+            if item.is_derived:
+                item.subquery._collect_refs(bound, refs)
+        for sub in nested + select_nested:
+            if isinstance(sub.query, QueryNode):
+                sub.query._collect_refs(bound, refs)
 
     @property
     def is_correlated(self) -> bool:
@@ -360,6 +377,10 @@ class SetOpBlock(QueryNode):
         for branch in self.branches:
             yield from branch.iter_blocks()
 
+    def _collect_refs(self, bound: set[str], refs: list[ast.ColumnRef]) -> None:
+        for branch in self.branches:
+            branch._collect_refs(bound, refs)
+
     def correlation_refs(self) -> list[ast.ColumnRef]:
         refs: list[ast.ColumnRef] = []
         for branch in self.branches:
@@ -380,6 +401,19 @@ class SetOpBlock(QueryNode):
 
     def __repr__(self) -> str:
         return f"SetOpBlock({self.op}, {len(self.branches)} branches)"
+
+
+def _scan_expr(
+    expr: ast.Expr, refs: list[ast.ColumnRef], subqueries: list[ast.SubqueryExpr]
+) -> None:
+    """Append *expr*'s qualified column references and its subquery
+    expressions (bodies not entered) to the two lists."""
+    for node in expr.walk():
+        if isinstance(node, ast.ColumnRef):
+            if node.qualifier:
+                refs.append(node)
+        elif isinstance(node, ast.SubqueryExpr):
+            subqueries.append(node)
 
 
 def _default_column_name(expr: ast.Expr) -> str:

@@ -11,9 +11,19 @@ display-only.
 The rendered text doubles as the block's *structural signature* for cost
 annotation reuse (§3.4.2): two sub-trees that render identically are
 semantically identical and may share cost annotations.
+
+A node's text contains the text of every node nested in it, and the
+physical optimizer asks for the signature of each of them in turn.
+Inside :func:`rendered_once` every node is therefore rendered a single
+time per thread — a parent's rendering leaves its children's text behind
+for their own signatures.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 from ..errors import UnsupportedError
 from ..sql import ast
@@ -21,7 +31,37 @@ from ..sql.render import render_expr
 from .blocks import FromItem, QueryBlock, QueryNode, SetOpBlock
 
 
+#: ``.texts`` is ``id(node) -> (node, sql)`` while the current thread is
+#: inside :func:`rendered_once`
+_scope = threading.local()
+
+
+@contextmanager
+def rendered_once() -> Iterator[None]:
+    """While the scope is open, :func:`node_to_sql` renders each node
+    (by identity) once and returns the remembered text afterwards.  Only
+    for code that does not mutate the trees it renders: the physical
+    optimizer planning one tree."""
+    outer = getattr(_scope, "texts", None)
+    _scope.texts = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _scope.texts = outer
+
+
 def node_to_sql(node: QueryNode) -> str:
+    texts = getattr(_scope, "texts", None)
+    if texts is None:
+        return _render_node(node)
+    entry = texts.get(id(node))
+    if entry is None:
+        # holding the node keeps its id from being reused within the scope
+        entry = texts[id(node)] = (node, _render_node(node))
+    return entry[1]
+
+
+def _render_node(node: QueryNode) -> str:
     if isinstance(node, QueryBlock):
         return _block_to_sql(node)
     if isinstance(node, SetOpBlock):

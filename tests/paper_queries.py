@@ -123,6 +123,27 @@ WHERE e.dept_id = d.dept_id
 GROUP BY d.loc_id
 """
 
+# Table 2's query (§4.4; same text as benchmarks/bench_table2): three base
+# tables and four unnestable subqueries over three tables each.  Not part
+# of ALL_RUNNABLE (the plan-digest corpus); used by the counts golden.
+TABLE2 = """
+SELECT e.employee_name, d.department_name, j.job_title
+FROM employees e, departments d, job_history j
+WHERE e.dept_id = d.dept_id AND e.emp_id = j.emp_id
+  AND e.job_id NOT IN (SELECT j2.job_id FROM job_history j2, departments d2,
+                       locations l2 WHERE j2.dept_id = d2.dept_id
+                       AND d2.loc_id = l2.loc_id AND l2.country_id = 2)
+  AND EXISTS (SELECT 1 FROM job_history j3, departments d3, locations l3
+              WHERE j3.emp_id = e.emp_id AND j3.dept_id = d3.dept_id
+              AND d3.loc_id = l3.loc_id)
+  AND NOT EXISTS (SELECT 1 FROM job_history j4, departments d4, locations l4
+                  WHERE j4.emp_id = e.emp_id AND j4.dept_id = d4.dept_id
+                  AND d4.loc_id = l4.loc_id AND l4.country_id = 3)
+  AND e.dept_id IN (SELECT d5.dept_id FROM departments d5, locations l5,
+                    countries c5 WHERE d5.loc_id = l5.loc_id
+                    AND l5.country_id = c5.country_id AND c5.region_id = 1)
+"""
+
 ALL_RUNNABLE = {
     "Q1": Q1,
     "Q2": Q2,

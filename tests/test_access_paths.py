@@ -7,6 +7,7 @@ from repro.catalog.statistics import ColumnStats, TableStats
 from repro.optimizer.access_paths import base_table_paths
 from repro.optimizer.costmodel import DEFAULT_COST_MODEL
 from repro.optimizer.plans import IndexScan, TableScan
+from repro.optimizer.predicates import PredicateAnalysis
 from repro.sql import ast
 
 
@@ -46,7 +47,8 @@ def paths_for(conjuncts, local_aliases={"t"}):
     stats = FakeStats()
     table_stats = TableStats(row_count=1000)
     return base_table_paths(
-        "t", table, table_stats, conjuncts, set(local_aliases), stats,
+        "t", table, table_stats, conjuncts, PredicateAnalysis(local_aliases),
+        stats,
         DEFAULT_COST_MODEL,
     )
 

@@ -44,6 +44,42 @@ class TestResolution:
         refs = sub.query.correlation_refs()
         assert refs[0].qualifier == "e"
 
+    def test_correlation_refs_order_and_scoping(self, tiny_db):
+        # one traversal must report what the two-pass definition does:
+        # refs of every block in iter_blocks order (select list, then
+        # conjuncts, group by, order by) minus those bound in the subtree
+        tree = build(tiny_db, (
+            "SELECT e.emp_id FROM employees e, departments d WHERE "
+            "e.salary > (SELECT AVG(e2.salary) + d.loc_id FROM employees e2, "
+            "  (SELECT j.emp_id FROM job_history j "
+            "   WHERE j.dept_id = d.dept_id) v "
+            "  WHERE e2.dept_id = e.dept_id AND v.emp_id = e2.emp_id "
+            "  AND EXISTS (SELECT 1 FROM locations l "
+            "              WHERE l.loc_id = d.loc_id AND l.city = e2.salary) "
+            "  GROUP BY e2.mgr_id ORDER BY e2.mgr_id)"
+        ))
+        inner = tree.subquery_exprs()[0].query
+
+        def two_pass(node):
+            bound = node.bound_aliases_recursive()
+            refs = []
+            for block in node.iter_blocks():
+                exprs = [item.expr for item in block.select_items]
+                exprs += block.all_conjuncts() + block.group_by
+                exprs += [o.expr for o in block.order_by]
+                refs += [
+                    ref for expr in exprs for ref in ast.column_refs_in(expr)
+                    if ref.qualifier and ref.qualifier not in bound
+                ]
+            return refs
+
+        refs = inner.correlation_refs()
+        assert [(r.qualifier, r.name) for r in refs] == [
+            ("d", "loc_id"), ("e", "dept_id"), ("d", "dept_id"), ("d", "loc_id"),
+        ]
+        assert [id(r) for r in refs] == [id(r) for r in two_pass(inner)]
+        assert tree.correlation_refs() == []
+
     def test_select_alias_usable_in_order_by(self, tiny_db):
         tree = build(tiny_db, "SELECT salary * 2 AS ss FROM employees ORDER BY ss")
         assert isinstance(tree.order_by[0].expr, ast.BinOp)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.qtree import signature
+from repro.qtree import signature, sqlgen
+from repro.qtree.sqlgen import rendered_once
 from repro.transform.base import apply_everywhere
 from repro.transform.heuristic import SubqueryMergeUnnesting
 
@@ -67,3 +68,55 @@ class TestSignatureProperties:
             "WHERE e.dept_id = d.dept_id AND d.loc_id IN (1, 2)"
         )
         assert signature(tiny_db.parse(sql)) == signature(tiny_db.parse(sql))
+
+
+class TestRenderedOnce:
+    NESTED = (
+        "SELECT d.dept_id FROM departments d, "
+        "(SELECT e.dept_id FROM employees e WHERE e.salary > 10) v "
+        "WHERE v.dept_id = d.dept_id AND EXISTS "
+        "(SELECT 1 FROM job_history j WHERE j.dept_id = d.dept_id AND "
+        "j.emp_id IN (SELECT e2.emp_id FROM employees e2))"
+    )
+
+    def test_same_text_inside_and_outside_the_scope(self, tiny_db):
+        tree = tiny_db.parse(self.NESTED)
+        plain = {b.name: signature(b) for b in tree.iter_blocks()}
+        with rendered_once():
+            scoped = {b.name: signature(b) for b in tree.iter_blocks()}
+        assert scoped == plain and len(plain) == 4
+
+    def test_each_node_rendered_once_per_scope(self, tiny_db, monkeypatch):
+        tree = tiny_db.parse(self.NESTED)
+        rendered = []
+        real = sqlgen._block_to_sql
+        monkeypatch.setattr(
+            sqlgen, "_block_to_sql",
+            lambda block: rendered.append(block.name) or real(block),
+        )
+        with rendered_once():
+            for block in tree.iter_blocks():  # root first, as the optimizer
+                signature(block)
+                signature(block)
+        assert sorted(rendered) == sorted(b.name for b in tree.iter_blocks())
+        # nothing is remembered once the scope has closed
+        rendered.clear()
+        signature(tree)
+        signature(tree)
+        assert rendered.count(tree.name) == 2
+
+    def test_scope_is_per_thread(self, tiny_db):
+        import threading
+
+        tree = tiny_db.parse("SELECT e.emp_id FROM employees e")
+        seen = []
+        with rendered_once():
+            signature(tree)
+            tree.select_items.pop()  # stale on purpose: this thread keeps
+            assert "emp_id" in signature(tree)  # its remembered text ...
+            thread = threading.Thread(
+                target=lambda: seen.append("emp_id" in signature(tree))
+            )
+            thread.start()
+            thread.join(timeout=10)
+        assert seen == [False]  # ... another thread renders for itself
