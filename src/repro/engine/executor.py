@@ -17,6 +17,7 @@ cached keyed on the correlation values — the caching behaviour §2.1.1 and
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -746,12 +747,15 @@ class TisSubqueryRunner:
     values."""
 
     def __init__(self, run: _PlanRun):
-        self._run = run
+        # weak: the run owns this runner and the compiled closures calling
+        # it, so a strong back-reference would make every run a cycle that
+        # pins its storage snapshot until the cyclic GC gets to it
+        self._run = weakref.ref(run)
 
     # -- plumbing -------------------------------------------------------------
 
     def _rows_for(self, sub: ast.SubqueryExpr, outer_row: Row) -> list[tuple]:
-        run = self._run
+        run = self._run()
         node = sub.query
         if not isinstance(node, QueryNode):
             raise ExecutionError("subquery was not built into a query tree")

@@ -182,7 +182,7 @@ class TableVersion:
     Published versions are never mutated; the columnar cache is built
     lazily but idempotently (a benign race at worst builds it twice)."""
 
-    __slots__ = ("rows", "indexes", "version", "_columnar")
+    __slots__ = ("rows", "indexes", "version", "_columnar", "__weakref__")
 
     def __init__(
         self,

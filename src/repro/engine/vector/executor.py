@@ -40,6 +40,7 @@ identical to the row engine.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Callable, Iterator, Optional, Sequence
 
 from ...errors import ExecutionError
@@ -156,7 +157,8 @@ class _BridgeRun(_PlanRun):
                  binds: Optional[dict], token: Optional[CancelToken],
                  analyze: bool, vector_run: "_VectorRun"):
         super().__init__(executor, stats, binds, token, analyze)
-        self._vector_run = vector_run
+        # weak: the vector run owns this bridge (no run-state cycles)
+        self._vector_run = weakref.ref(vector_run)
         self._row_only: set[int] = set()
 
     def mark_row_only(self, plan: Plan) -> None:
@@ -183,7 +185,7 @@ class _BridgeRun(_PlanRun):
             type(plan).__name__ in VECTOR_OPERATORS
             and id(plan) not in self._row_only
         ):
-            return self._vector_run.rows_of(plan, binding)
+            return self._vector_run().rows_of(plan, binding)
         self.pin_early_stop_subtrees(plan)
         return super().rows(plan, binding)
 

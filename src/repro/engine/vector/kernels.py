@@ -4,8 +4,13 @@ The row engine compiles an expression to a closure called once per row;
 per-row cost is dominated by Python call overhead and dict lookups.  The
 vector engine instead generates Python *source* for a loop over a batch:
 a filter's conjuncts fuse into a single ``for`` body of local-variable
-loads and inline three-valued-logic tests, compiled once per statement
-with :func:`compile`/``exec`` and applied to whole batches.
+loads and inline three-valued-logic tests, applied to whole batches.
+
+Bind values and non-inline literals enter a kernel as default-argument
+constants (``k0=_gk0``), so the generated source depends only on the
+expression tree.  Its code object is therefore compiled once per
+distinct source per process (a bounded cache keyed on the source
+text); an execution only runs ``exec`` on it with its own constants.
 
 Two source modes exist per expression:
 
@@ -30,7 +35,9 @@ an unbound name.
 
 from __future__ import annotations
 
+import functools
 import re
+from types import CodeType
 from typing import Callable, Optional, Sequence
 
 from ...errors import ExecutionError
@@ -69,6 +76,15 @@ def _between_value(v, lo, hi, negated):
     else:
         result = True
     return (not result) if negated else result
+
+
+#: bounded: ad-hoc statements each bring new sources; 1024 keeps the
+#: kernels of a full default plan cache (128 cursors) several times over
+@functools.lru_cache(maxsize=1024)
+def _compile(source: str) -> CodeType:
+    """Code object for one kernel's source, shared by every execution
+    that generates the same source (binds are ``exec``-time consts)."""
+    return compile(source, "<vector-kernel>", "exec")
 
 
 class _Kernel:
@@ -180,10 +196,11 @@ class KernelCompiler:
         for name, value in self._consts:
             params.append(f"{name}=_g{name}")
             namespace[f"_g{name}"] = value
-        source = emit(params, body_fragments)
-        code = compile(source, "<vector-kernel>", "exec")
+        code = _compile(emit(params, body_fragments))
         exec(code, namespace)  # noqa: S102 - generated from our own AST
-        return kernel_cls(namespace["_kernel"], column_keys)
+        # popped, not read: a function left in its own globals is a
+        # reference cycle only the cyclic GC can free
+        return kernel_cls(namespace.pop("_kernel"), column_keys)
 
     @staticmethod
     def _emit_predicate(params: list[str], truths: list[str]) -> str:

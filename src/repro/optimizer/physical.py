@@ -21,6 +21,7 @@ from ..qtree import signature
 from ..qtree.blocks import FromItem, QueryBlock, QueryNode, SetOpBlock
 from ..qtree.sqlgen import rendered_once
 from ..sql import ast
+from ..sql.render import render_expr
 from .access_paths import base_table_paths
 from .annotations import AnnotationStore
 from .costmodel import DEFAULT_COST_MODEL, CostModel
@@ -613,8 +614,6 @@ class PhysicalOptimizer:
     def _collect_windows(self, block: QueryBlock) -> list[ast.WindowFunc]:
         windows: list[ast.WindowFunc] = []
         seen: set[str] = set()
-        from ..sql.render import render_expr
-
         for item in block.select_items:
             for node in item.expr.walk():
                 if isinstance(node, ast.WindowFunc):
@@ -680,8 +679,6 @@ def _join_core_key(
     slightly (subquery/expensive conjuncts only shape pending filters) in
     exchange for an obviously safe key.
     """
-    from ..sql.render import render_expr
-
     parts: list[str] = [f"dp={dp_threshold}"]
     for item in block.from_items:
         source = (
@@ -739,24 +736,28 @@ def _stopkey_cost(plan: Plan, fraction: float) -> float:
 def _collect_aggregate_calls(block: QueryBlock) -> list[ast.FuncCall]:
     calls: list[ast.FuncCall] = []
     seen: set[str] = set()
-    from ..sql.render import render_expr
-
-    def collect(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.WindowFunc):
-            return
-        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-            key = render_expr(expr)
-            if key not in seen:
-                seen.add(key)
-                calls.append(expr)
-            return
-        for child in expr.children():
-            collect(child)
-
     for item in block.select_items:
-        collect(item.expr)
+        _collect_aggregates(item.expr, seen, calls)
     for conjunct in block.having_conjuncts:
-        collect(conjunct)
+        _collect_aggregates(conjunct, seen, calls)
     for order in block.order_by:
-        collect(order.expr)
+        _collect_aggregates(order.expr, seen, calls)
     return calls
+
+
+def _collect_aggregates(
+    expr: ast.Expr, seen: set[str], calls: list[ast.FuncCall]
+) -> None:
+    """Distinct aggregate calls of *expr* in pre-order (a module-level
+    recursion: a self-referencing closure would be a reference cycle on
+    every TIS subquery planned at execution time)."""
+    if isinstance(expr, ast.WindowFunc):
+        return
+    if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+        key = render_expr(expr)
+        if key not in seen:
+            seen.add(key)
+            calls.append(expr)
+        return
+    for child in expr.children():
+        _collect_aggregates(child, seen, calls)

@@ -99,6 +99,9 @@ class ReproHTTPServer(ThreadingHTTPServer):
 class RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ReproHTTPServer
+    #: TCP_NODELAY on every accepted socket; together with the one-write
+    #: reply no segment ever waits on a delayed ACK
+    disable_nagle_algorithm = True
 
     #: set True (e.g. by the CLI's --verbose) to restore stderr request
     #: logging; quiet by default so the load bench isn't I/O bound
@@ -111,12 +114,20 @@ class RequestHandler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------
 
     def _reply(self, status: int, payload: dict) -> None:
+        """Status line, headers and body in one write (one ``sendall``):
+        a body written after the headers would wait on the client's
+        delayed ACK (Nagle) on every keep-alive reply."""
         body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self.log_request(status)
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _error(self, exc: BaseException) -> None:
         self._reply(_status_for(exc), {

@@ -73,22 +73,20 @@ class PlanCache:
     def lookup(self, key: tuple, versions: VersionReader) -> Optional[CacheEntry]:
         """The entry under *key*, if present and still valid against the
         current catalog/statistics *versions*; stale entries are removed
-        (counted as an invalidation and a miss)."""
+        (counted as an invalidation).  Hits and misses are the caller's
+        to count: a lookup is not always the call's final disposition."""
         faults.check("plan_cache.lookup")
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.metrics.bump("misses")
                 return None
             for table, recorded in entry.dependencies.items():
                 if versions(table) != recorded:
                     del self._entries[key]
                     self.metrics.bump("invalidations")
-                    self.metrics.bump("misses")
                     return None
             self._entries.move_to_end(key)
             entry.executions += 1
-            self.metrics.bump("hits")
             return entry
 
     def store(self, entry: CacheEntry) -> None:

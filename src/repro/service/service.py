@@ -290,14 +290,30 @@ class QueryService:
         *versions* overrides the dependency-version reader used for both
         cache validation and dependency recording; snapshot reads pass
         the versions pinned in their :class:`ReadSnapshot` so a cached
-        plan is judged against the data the statement will actually see."""
-        reader = versions or self._versions
+        plan is judged against the data the statement will actually see.
+
+        Each call is counted once, when its disposition is final: a
+        shared cursor is a ``hit``, any hard parse (miss, re-optimization,
+        degraded retry, uncached) a ``miss``."""
+        entry, status, seconds = self._resolve_cursor(
+            sql, bind_map, config, token, versions or self._versions
+        )
+        self.metrics.bump("hits" if status == "hit" else "misses")
+        return entry, status, seconds
+
+    def _resolve_cursor(
+        self,
+        sql: str,
+        bind_map: dict,
+        config: Optional[OptimizerConfig],
+        token: Optional[CancelToken],
+        reader: Callable[[str], tuple],
+    ) -> tuple[CacheEntry, str, float]:
         key = self._key(sql, config)
         if not self.caching:
             entry, seconds = self._hard_parse(
                 key, sql, bind_map, config, token, reader
             )
-            self.metrics.bump("misses")
             return entry, "uncached", seconds
 
         try:
@@ -355,7 +371,9 @@ class QueryService:
         Concurrent callers needing the same cursor elect a leader: the
         first to claim the gate optimizes and stores; the rest block,
         then re-check the cache and share the leader's entry instead of
-        redundantly re-optimizing (no thundering herd).  A follower whose
+        redundantly re-optimizing (no thundering herd).  A leader on a
+        plain miss re-checks too: an earlier leader may have stored and
+        released its gate since this caller's own lookup.  A caller whose
         re-check still comes up empty — the leader failed or was
         cancelled — builds its own entry; errors never wedge the gate."""
         with self._gate_lock:
@@ -368,19 +386,12 @@ class QueryService:
                 self.metrics.bump("single_flight_waits")
                 if token is not None:
                     token.check()
-                try:
-                    entry = self.cache.lookup(key, reader)
-                except (StatementTimeout, StatementCancelled):
-                    raise
-                except ReproError:
-                    entry = None
-                if entry is not None and not (
-                    entry.degraded is not None
-                    and entry.quarantine_epoch != self.database.quarantine.epoch
-                ):
-                    # Share the leader's fresh cursor.  Bind drift is not
-                    # re-checked here: the entry was peeked moments ago,
-                    # and the next execution re-evaluates drift anyway.
+            if not leader or status == "miss":
+                entry = self._shared_entry(key, reader)
+                if entry is not None:
+                    # Bind drift is not re-checked here: the entry was
+                    # peeked moments ago, and the next execution
+                    # re-evaluates drift anyway.
                     return entry, "hit", 0.0
             entry, seconds = self._hard_parse(
                 key, sql, bind_map, config, token, reader
@@ -392,7 +403,26 @@ class QueryService:
         finally:
             gate.release()
             with self._gate_lock:
-                self._gates.pop(key, None)
+                if self._gates.get(key) is gate:
+                    del self._gates[key]
+
+    def _shared_entry(
+        self, key: tuple, reader: Callable[[str], tuple]
+    ) -> Optional[CacheEntry]:
+        """The cached entry another caller just built, if it can serve
+        this one (a cache fault reads as "nothing shared")."""
+        try:
+            entry = self.cache.lookup(key, reader)
+        except (StatementTimeout, StatementCancelled):
+            raise
+        except ReproError:
+            return None
+        if entry is not None and (
+            entry.degraded is not None
+            and entry.quarantine_epoch != self.database.quarantine.epoch
+        ):
+            return None
+        return entry
 
     def _store(self, entry: CacheEntry) -> None:
         """Store *entry*, tolerating cache faults (the plan still serves

@@ -8,7 +8,9 @@ and snapshot-read isolation are exercised end to end.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -18,7 +20,7 @@ import pytest
 
 from repro import Database
 from repro.server import ReproServer, ServerConfig
-from repro.server.http import make_http_server
+from repro.server.http import RequestHandler, make_http_server
 
 #: sized so the non-equi cross join below runs for seconds if nothing
 #: stops it — long enough that cancel/timeout must be doing the work
@@ -211,6 +213,77 @@ def test_error_status_mapping(serve_db):
     status, payload = client.execute(sid, "SELECT FROM people")
     assert status == 400
     assert payload["error"]["type"] in ("ParseError", "SqlError")
+
+
+class _CountingSocket:
+    """An accepted socket that records every write the handler makes."""
+
+    def __init__(self, sock: socket.socket, writes: list) -> None:
+        self.sock = sock
+        self._writes = writes
+
+    def sendall(self, data, *args):
+        self._writes.append(bytes(data))
+        return self.sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self._writes.append(bytes(data))
+        return self.sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def test_every_reply_is_one_write_on_a_nodelay_socket(serve_db, monkeypatch):
+    """A reply split into a header write and a body write stalls each
+    keep-alive round trip on the peer's delayed ACK (Nagle): every
+    reply — 200, typed error, unrouted 404 — must be one write, on a
+    socket with TCP_NODELAY set."""
+    writes: list[bytes] = []
+    accepted: list[_CountingSocket] = []
+    original_setup = RequestHandler.setup
+
+    def counting_setup(handler):
+        handler.request = _CountingSocket(handler.request, writes)
+        accepted.append(handler.request)
+        original_setup(handler)
+
+    monkeypatch.setattr(RequestHandler, "setup", counting_setup)
+    _, client = serve_db(seed=seed_people)
+    host, port = client.base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=60)
+
+    def round_trip(method: str, path: str, body=None) -> tuple[int, dict]:
+        writes.clear()
+        conn.request(method, path, body=json.dumps(body or {}),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert len(writes) == 1, [w[:40] for w in writes]
+        assert writes[0].startswith(f"HTTP/1.1 {response.status} ".encode())
+        return response.status, payload
+
+    try:
+        status, session = round_trip("POST", "/sessions")
+        sid = session["session_id"]
+        sql = "SELECT dept, COUNT(*) FROM people GROUP BY dept ORDER BY dept"
+        for _ in range(3):
+            assert round_trip(
+                "POST", f"/sessions/{sid}/execute", {"sql": sql}
+            )[0] == 200
+        status, payload = round_trip(
+            "POST", f"/sessions/{sid}/execute", {"sql": "SELECT FROM people"}
+        )
+        assert status == 400 and "error" in payload
+        assert round_trip(
+            "POST", "/sessions/zzz/execute", {"sql": sql}
+        )[0] == 404
+        assert round_trip("GET", "/nosuch")[0] == 404
+    finally:
+        conn.close()
+    # one keep-alive connection carried every request
+    assert len(accepted) == 1
+    assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 # -- admission control -------------------------------------------------------

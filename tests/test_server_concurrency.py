@@ -6,6 +6,7 @@ atomicity — the invariants the multi-session server leans on.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -119,16 +120,27 @@ def test_concurrent_hard_parse_single_flight():
     def worker(i: int):
         results[i] = service.execute(sql)
 
-    _run_threads(threads, worker)
+    # frequent thread switches make the races around the gate likely:
+    # a lookup preempted until after the leader has stored and released
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = _run_threads(threads, worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in started)
     assert all(list(r.rows) == expected for r in results)
-    # exactly one optimization ran across all 8 concurrent callers
+    # exactly one optimization ran across all 8 concurrent callers, in
+    # every interleaving: a caller that missed before the leader stored
+    # either waits on the leader's gate or, arriving after the leader
+    # released it, re-checks the cache before parsing
     assert db.metrics.counter("optimizer.statements").value == 1
     assert len(service.cache) == 1
     snap = service.metrics.snapshot()
+    assert snap["executions"] == threads
     assert snap["misses"] == 1
-    # everyone else either waited on the leader's gate or arrived after
-    # the store; in both cases they were served the shared entry
     assert snap["hits"] == threads - 1
+    assert [r.cache_status for r in results].count("miss") == 1
     assert snap["single_flight_waits"] <= threads - 1
 
 
