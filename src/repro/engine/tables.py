@@ -25,8 +25,9 @@ buckets structurally — and publish it with one atomic reference swap, so
 from __future__ import annotations
 
 import bisect
+import itertools
 import threading
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..catalog.schema import Index, TableDef
 from ..errors import ExecutionError
@@ -91,75 +92,53 @@ class IndexData:
     def lookup_eq(self, key: tuple) -> list[int]:
         return self._hash.get(key, [])
 
-    def lookup_range(
-        self,
-        low: Optional[object],
-        high: Optional[object],
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> Iterator[int]:
-        """Range scan on the leading column only (single-column bounds)."""
-        self._ensure_sorted()
-        keys = self._sorted_keys
-        if low is not None:
-            probe = (low,)
-            start = (
-                bisect.bisect_left(keys, probe)
-                if low_inclusive
-                else bisect.bisect_right(keys, probe + (_INFINITY,))
-            )
-        else:
-            start = 0
-        for key in keys[start:]:
-            if high is not None:
-                first = key[0]
-                if high_inclusive and first > high:
-                    break
-                if not high_inclusive and first >= high:
-                    break
-            if low is not None and low_inclusive is False and key[0] == low:
-                continue
-            yield from self._hash[key]
-
     def scan(
         self,
         prefix: tuple,
         range_op: Optional[str] = None,
         range_value: Optional[object] = None,
-    ) -> Iterator[int]:
-        """Probe on an equality *prefix* of the index columns, optionally
-        bounded by ``range_op``/``range_value`` on the next column.
+    ) -> Iterable[int]:
+        """Row ids for an equality *prefix* of the index columns,
+        optionally bounded by ``range_op``/``range_value`` on the next
+        column, in index-key order.
 
         This is the composite-index access the optimizer's IndexScan plans
-        rely on: ``prefix`` may be shorter than the full key.
+        rely on: ``prefix`` may be shorter than the full key.  A full-key
+        probe returns the (shared, never mutated) hash bucket; any other
+        probe bisects both ends of its key span and walks only that span.
         """
         if range_op is None and len(prefix) == len(self.index.columns):
-            yield from self._hash.get(prefix, [])
-            return
+            return self._hash.get(prefix, _NO_ROWS)
         if any(part is None for part in prefix) or (
             range_op is not None and range_value is None
         ):
-            return
+            return _NO_ROWS
         self._ensure_sorted()
         keys = self._sorted_keys
-        start = bisect.bisect_left(keys, prefix)
-        depth = len(prefix)
-        for key in keys[start:]:
-            if key[:depth] != prefix:
-                break
-            if range_op is not None:
-                value = key[depth]
-                if range_op == "=" and value != range_value:
-                    continue
-                if range_op == "<" and not value < range_value:
-                    continue
-                if range_op == "<=" and not value <= range_value:
-                    continue
-                if range_op == ">" and not value > range_value:
-                    continue
-                if range_op == ">=" and not value >= range_value:
-                    continue
-            yield from self._hash[key]
+        # the span is [low, high): a key extended by _INFINITY sorts after
+        # every key it prefixes
+        at, past = prefix + (range_value,), prefix + (range_value, _INFINITY)
+        end_of_prefix = prefix + (_INFINITY,)
+        if range_op is None:
+            low, high = prefix, end_of_prefix
+        elif range_op == "=":
+            low, high = at, past
+        elif range_op == "<":
+            low, high = prefix, at
+        elif range_op == "<=":
+            low, high = prefix, past
+        elif range_op == ">":
+            low, high = past, end_of_prefix
+        elif range_op == ">=":
+            low, high = at, end_of_prefix
+        else:
+            raise ExecutionError(f"unknown index range operator {range_op!r}")
+        start = bisect.bisect_left(keys, low)
+        end = bisect.bisect_left(keys, high, start)
+        bucket = self._hash.__getitem__
+        return itertools.chain.from_iterable(
+            bucket(keys[k]) for k in range(start, end)
+        )
 
     def __len__(self) -> int:
         return len(self._hash)
@@ -174,6 +153,8 @@ class _Infinity:
 
 
 _INFINITY = _Infinity()
+
+_NO_ROWS: tuple = ()
 
 
 class TableVersion:

@@ -3,13 +3,22 @@
 :class:`VectorExecutor` is a drop-in alternative to
 :meth:`repro.engine.executor.Executor.execute`: same signature, same
 :class:`~repro.engine.executor.ExecStats`, same output tuples.  The hot
-path — table scan, filter, projection, hash join, hash aggregate,
-distinct, sort, set operations — runs batch-at-a-time over columnar
+path — table and index scans, INNER/LEFT index nested loops, filter,
+projection, hash join, hash aggregate, distinct, sort, set operations —
+runs batch-at-a-time over columnar
 :class:`~repro.engine.vector.batch.Batch` chunks with compiled kernels;
-every other operator (index/view scans, nested-loop and merge joins,
-windows, COUNT STOPKEY) bridges to the untouched row engine, whose
-dispatch in turn reroutes vector-native *subtrees* back to the batch
-engine, so the two interleave freely within one plan.
+every other operator (view scans, SEMI/ANTI and non-index nested loops,
+merge joins, windows, COUNT STOPKEY) bridges to the untouched row
+engine, whose dispatch in turn reroutes vector-native *subtrees* back to
+the batch engine, so the two interleave freely within one plan.
+
+An index nested-loop join probes the index for a whole left batch at
+once and fetches the matching rows by row id from the table version's
+row list (never through the whole-table ``columnar()`` transpose, which
+every insert would invalidate).  A parameterised index scan whose rows
+the *row* engine pulls directly — the inner side of a bridged nested
+loop, run once per outer row — stays on the row engine: there a
+one-probe batch converted back to rows costs more than it saves.
 
 Two invariants the hybrid guarantees:
 
@@ -39,15 +48,18 @@ identical to the row engine.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import time
 import weakref
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ...errors import ExecutionError
 from ...optimizer.plans import (
     Filter,
     GroupBy,
     HashJoin,
+    IndexScan,
     Limit,
     NestedLoopJoin,
     Plan,
@@ -74,6 +86,8 @@ BATCH_SIZE = 1024
 #: else bridges to the row engine
 VECTOR_OPERATORS = frozenset({
     "TableScan",
+    "IndexScan",
+    "NestedLoopJoin",
     "Filter",
     "Project",
     "HashJoin",
@@ -84,6 +98,10 @@ VECTOR_OPERATORS = frozenset({
 })
 
 _MISSING = object()
+
+#: a one-row, column-less batch: bind kernels evaluated over it read
+#: every column from the binding (a leaf index probe's bind values)
+_ONE_ROW = Batch({}, 1)
 
 # _NullKey's lazy singleton is not thread-safe on first creation; force
 # it at import time so parallel group-by partials can race safely.
@@ -145,8 +163,9 @@ class VectorExecutor:
 
 class _BridgeRun(_PlanRun):
     """Row-engine run whose dispatch reroutes vector-native subtrees back
-    to the batch engine, so bridged operators (NLJ, merge join, limits,
-    views, TIS subquery plans) still scan and join columnar underneath.
+    to the batch engine, so bridged operators (semi/anti NLJ, merge join,
+    limits, views, TIS subquery plans) still scan and join columnar
+    underneath — except a parameterised index scan, which it keeps.
 
     Subtrees under a COUNT STOPKEY are pinned to the row engine for
     work-unit parity: the Limit registers its descendants before they
@@ -185,7 +204,11 @@ class _BridgeRun(_PlanRun):
             type(plan).__name__ in VECTOR_OPERATORS
             and id(plan) not in self._row_only
         ):
-            return self._vector_run().rows_of(plan, binding)
+            if not (isinstance(plan, IndexScan) and plan.outer_aliases()):
+                return self._vector_run().rows_of(plan, binding)
+            # a parameterised probe driven by the row engine runs once
+            # per outer row: a one-probe batch costs more than it saves
+            self._row_only.add(id(plan))
         self.pin_early_stop_subtrees(plan)
         return super().rows(plan, binding)
 
@@ -350,6 +373,162 @@ class _VectorRun:
         for (start, end), out in zip(morsels, results):
             charge((end - start) * per_row)
             yield out
+
+    # -- index access -----------------------------------------------------------
+
+    def _index_access(self, plan: IndexScan) -> "_IndexAccess":
+        eq = [self._value(expr) for _column, expr in plan.eq_binds]
+        bound = (
+            None if plan.range_bind is None
+            else self._value(plan.range_bind[2])
+        )
+        post = self._predicate(plan.post_conjuncts)
+        data = self._storage.get(plan.table_name)
+        return _IndexAccess(plan, data, eq, bound, post)
+
+    def _vec_indexscan(self, plan: IndexScan, binding: Row) -> Iterator[Batch]:
+        return self._indexscan_batches(plan, self._index_access(plan), binding)
+
+    def _indexscan_batches(self, plan: IndexScan, access: "_IndexAccess",
+                           binding: Row) -> Iterator[Batch]:
+        """One probe with bind values from *binding*, fetched in batches."""
+        cm = self._cm
+        charge = self.stats.charge
+        # charged per fetched row id, filtered or not — same as the row loop
+        per_row = cm.index_row + cm.predicate_eval * len(plan.post_conjuncts)
+        charge(cm.index_probe)
+        (row_ids,) = access.row_ids(_ONE_ROW, binding)
+        row_ids = iter(row_ids)
+        post = access.post
+        while True:
+            chunk = list(itertools.islice(row_ids, BATCH_SIZE))
+            if not chunk:
+                return
+            charge(per_row * len(chunk))
+            batch = Batch(access.columns(chunk), len(chunk))
+            if post is not None:
+                batch = batch.gather(
+                    post.select(batch, range(batch.length), binding)
+                )
+            yield batch
+
+    def _vec_nestedloopjoin(self, plan: NestedLoopJoin,
+                            binding: Row) -> Iterator[Batch]:
+        right = plan.right
+        if (
+            plan.join_type not in ("INNER", "LEFT")
+            or not isinstance(right, IndexScan)
+            or id(right) in self._rows._row_only
+            or not right.outer_aliases() & plan.left.aliases
+        ):
+            raise NotVectorizable("nested loops other than an index probe")
+        access = self._index_access(right)
+        join = self._predicate(plan.conjuncts)
+        return self._nlj_batches(plan, access, join, binding)
+
+    def _nlj_batches(self, plan: NestedLoopJoin, access: "_IndexAccess",
+                     join: Optional[PredicateKernel],
+                     binding: Row) -> Iterator[Batch]:
+        """Index nested loops, one left batch at a time.
+
+        Every left row probes the index (charged even when a bind value
+        is NULL, as the row engine charges it), the candidates' rows are
+        fetched by row id, and the scan's post-filter then the join
+        conjuncts run as fused kernels over the candidates.  Candidates
+        are processed — and output emitted — in chunks of about
+        BATCH_SIZE, so a fan-out probe never materialises a whole left
+        batch times its fan-out.
+        """
+        cm = self._cm
+        charge = self.stats.charge
+        right = plan.right
+        post = access.post
+        index_cost = (
+            cm.index_row + cm.predicate_eval * len(right.post_conjuncts)
+        )
+        pair_cost = cm.pipeline_row + cm.predicate_eval * len(plan.conjuncts)
+        #: columns the filter kernels read from a candidate
+        kernels = [k for k in (post, join) if k is not None]
+        keys = {key for kernel in kernels for key in kernel.keys}
+        left_join = plan.join_type == "LEFT"
+        count = self._rows._count
+        token = self._token
+        analyze = self._analyze
+        clock = time.perf_counter
+        right_id = id(right)
+        invocations = self.stats.node_invocations
+        seconds = self.stats.node_seconds
+        faults.check("executor.IndexScan", token)
+        for lbatch in self.batches(plan.left, binding):
+            faults.check("executor.batch.IndexScan", token)
+            n = lbatch.length
+            charge(cm.index_probe * n)
+            if analyze:
+                # one inner invocation per probe, as in the row engine
+                invocations[right_id] = invocations.get(right_id, 0) + n
+                started = clock()
+            row_ids = access.row_ids(lbatch, binding)
+            #: LEFT: rows that matched, and the first row whose null
+            #: extension is still undecided
+            matched = bytearray(n)
+            pending = 0
+            i = 0
+            while i < n:
+                cand_left: list[int] = []
+                cand_rid: list[int] = []
+                while i < n and len(cand_rid) < BATCH_SIZE:
+                    for row_id in row_ids[i]:
+                        cand_left.append(i)
+                        cand_rid.append(row_id)
+                    i += 1
+                # rows before i have all their candidates in hand
+                m = len(cand_rid)
+                charge(index_cost * m)
+                selected: Sequence[int] = range(m)
+                if kernels:
+                    probe = self._probe_batch(
+                        keys, access, lbatch, cand_left, cand_rid
+                    )
+                    if post is not None:
+                        selected = post.select(probe, selected, binding)
+                if selected:
+                    count(right, len(selected))
+                if analyze:
+                    seconds[right_id] = (
+                        seconds.get(right_id, 0.0) + clock() - started
+                    )
+                charge(pair_cost * len(selected))
+                if join is not None and selected:
+                    selected = join.select(probe, selected, binding)
+                if left_join:
+                    out_left, out_rid, pending = _weave_left(
+                        selected, cand_left, cand_rid, matched, pending, i
+                    )
+                elif len(selected) == m:
+                    out_left, out_rid = cand_left, cand_rid
+                else:
+                    out_left = [cand_left[s] for s in selected]
+                    out_rid = [cand_rid[s] for s in selected]
+                for start in range(0, len(out_left), BATCH_SIZE):
+                    end = start + BATCH_SIZE
+                    yield access.joined(
+                        lbatch, out_left[start:end], out_rid[start:end]
+                    )
+                if analyze:
+                    started = clock()
+
+    @staticmethod
+    def _probe_batch(keys: set[str], access: "_IndexAccess", lbatch: Batch,
+                     cand_left: list[int], cand_rid: list[int]) -> Batch:
+        """Candidate batch holding only the columns in *keys* (left
+        columns gathered, right columns fetched); binding keys stay out
+        and resolve from the binding."""
+        columns = access.columns(cand_rid, keys)
+        for key in keys:
+            column = lbatch.columns.get(key)
+            if column is not None:
+                columns[key] = [column[i] for i in cand_left]
+        return Batch(columns, len(cand_rid))
 
     # -- filters and projection -------------------------------------------------
 
@@ -884,6 +1063,106 @@ def _agg_finish(name: str, state: list) -> object:
     if name == "MAX":
         return max(values)
     raise ExecutionError(f"unknown aggregate {name!r}")
+
+
+class _IndexAccess:
+    """One :class:`IndexScan` compiled for the batch engine: bind
+    kernels, post-filter kernel, the index and the table's rows.
+
+    Rows are fetched by row id from the pinned version's row list, never
+    through ``columnar()``: a probe touches a handful of rows, while
+    ``columnar()`` transposes the whole table — once per table version,
+    and every insert makes a new version.
+    """
+
+    __slots__ = ("eq", "bound", "op", "post", "index", "rows", "fields",
+                 "rowid_key", "null_row")
+
+    def __init__(self, plan: IndexScan, data: TableLike,
+                 eq: list[ValueKernel], bound: Optional[ValueKernel],
+                 post: Optional[PredicateKernel]):
+        self.eq = eq
+        self.bound = bound
+        self.op = plan.range_bind[1] if plan.range_bind is not None else None
+        self.post = post
+        self.index = data.index_named(plan.index.name)
+        self.rows = data.rows
+        names = list(data.table.columns)
+        self.fields = [
+            (f"{plan.alias}.{name}", operator.itemgetter(name))
+            for name in names
+        ]
+        self.rowid_key = f"{plan.alias}.rowid"
+        #: the stored row a NULL-extended output row reads
+        self.null_row = dict.fromkeys(names)
+
+    def row_ids(self, batch: Batch, binding: Row) -> list[Iterable[int]]:
+        """Per row of *batch*, the matching row ids in index order (none
+        when a bind value is NULL)."""
+        indices = range(batch.length)
+        if self.eq:
+            prefixes = list(zip(*[
+                k.evaluate(batch, indices, binding) for k in self.eq
+            ]))
+        else:
+            prefixes = [()] * batch.length
+        scan = self.index.scan
+        if self.bound is None:
+            return list(map(scan, prefixes))
+        op = self.op
+        values = self.bound.evaluate(batch, indices, binding)
+        return [scan(prefix, op, v) for prefix, v in zip(prefixes, values)]
+
+    def columns(self, row_ids: list[int],
+                wanted: Optional[set[str]] = None) -> dict[str, list]:
+        """The scan's columns (all, or those in *wanted*) for *row_ids*;
+        a ``-1`` row id reads as the NULL extension."""
+        rows = self.rows
+        null_row = self.null_row
+        stored = [rows[r] if r >= 0 else null_row for r in row_ids]
+        columns = {
+            key: list(map(field, stored))
+            for key, field in self.fields
+            if wanted is None or key in wanted
+        }
+        if wanted is None or self.rowid_key in wanted:
+            columns[self.rowid_key] = [r if r >= 0 else None for r in row_ids]
+        return columns
+
+    def joined(self, lbatch: Batch, left_indices: list[int],
+               row_ids: list[int]) -> Batch:
+        """Join output: the left rows at *left_indices* beside the
+        fetched rows *row_ids*."""
+        out = lbatch.gather(left_indices)
+        out.columns.update(self.columns(row_ids))
+        return out
+
+
+def _weave_left(selected: Sequence[int], cand_left: list[int],
+                cand_rid: list[int], matched: bytearray, pending: int,
+                closed: int) -> tuple[list[int], list[int], int]:
+    """LEFT join output for one chunk of candidates: each left row's
+    passing matches in candidate order, and a NULL extension (row id
+    ``-1``) for every row before *closed* that matched nothing.  Returns
+    the output's left indices, row ids, and the new *pending* row."""
+    out_left: list[int] = []
+    out_rid: list[int] = []
+    for s in selected:
+        i = cand_left[s]
+        while pending < i:
+            if not matched[pending]:
+                out_left.append(pending)
+                out_rid.append(-1)
+            pending += 1
+        matched[i] = 1
+        out_left.append(i)
+        out_rid.append(cand_rid[s])
+    while pending < closed:
+        if not matched[pending]:
+            out_left.append(pending)
+            out_rid.append(-1)
+        pending += 1
+    return out_left, out_rid, pending
 
 
 def _tuple_batch(values: list[tuple]) -> Batch:

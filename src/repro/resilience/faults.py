@@ -60,6 +60,8 @@ EXECUTOR_OPERATORS = (
 #: tests can fail an operator mid-stream rather than only at startup
 BATCH_OPERATORS = (
     "TableScan",
+    "IndexScan",
+    "NestedLoopJoin",
     "Filter",
     "Project",
     "HashJoin",

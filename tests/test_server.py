@@ -279,11 +279,12 @@ def test_every_reply_is_one_write_on_a_nodelay_socket(serve_db, monkeypatch):
             "POST", "/sessions/zzz/execute", {"sql": sql}
         )[0] == 404
         assert round_trip("GET", "/nosuch")[0] == 404
+        # one keep-alive connection carried every request; read its
+        # option while it is open (the server closes it after ours)
+        assert len(accepted) == 1
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     finally:
         conn.close()
-    # one keep-alive connection carried every request
-    assert len(accepted) == 1
-    assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 # -- admission control -------------------------------------------------------

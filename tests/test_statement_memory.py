@@ -26,8 +26,11 @@ SHAPES = {
     # scan -> filter -> aggregate -> project, all vector-native kernels
     "scan": ("SELECT t.g, COUNT(*), SUM(t.v) FROM t WHERE t.v > :lo "
              "GROUP BY t.g", {"lo": 30}),
-    # index scan: bridged to the row engine under the vector engine
+    # leaf index scan: one probe with a bind value
     "index": ("SELECT t.v FROM t WHERE t.id = :id", {"id": 17}),
+    # index nested loops: each u row probes t's primary key
+    "index_nl": ("SELECT u.w, t.v FROM u, t WHERE t.id = u.tid "
+                 "AND u.w = :w", {"w": 3}),
     # correlated scalar subquery in the select list: TIS evaluation
     "tis": ("SELECT t.id, (SELECT MAX(u.w) FROM u WHERE u.tid = t.id) "
             "FROM t WHERE t.g = :g", {"g": 3}),

@@ -1,6 +1,9 @@
 """Storage and index structure tests."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Catalog, Column, DataType, Index, TableDef
 from repro.engine.tables import Storage
@@ -92,6 +95,91 @@ class TestIndexScan:
         _c, _s, data = make_storage()
         data.insert([{"id": 7, "a": 0, "b": 0}])
         assert list(data.index_named("t_pk").scan((7,))) == [0]
+
+    def test_range_probe_stops_at_the_bound(self):
+        """A range probe bisects to its bound and stops past it: a 10-row
+        probe at either end of a 20,000-key index compares a few dozen
+        keys, not the whole index."""
+        _c, _s, data = make_storage()
+        data.insert([
+            {"id": _CountingInt(i), "a": 0, "b": 0} for i in range(20_000)
+        ])
+        pk = data.index_named("t_pk")
+        list(pk.scan((), "<", 0))  # sorts the key list once
+        _CountingInt.comparisons = 0
+        assert list(pk.scan((), ">=", 19_990)) == list(range(19_990, 20_000))
+        assert list(pk.scan((), "<", 10)) == list(range(10))
+        assert list(pk.scan((), ">", 19_990)) == list(range(19_991, 20_000))
+        assert list(pk.scan((), "<=", 9)) == list(range(10))
+        assert _CountingInt.comparisons < 500
+
+
+class _CountingInt(int):
+    """An int that counts the comparisons made against it."""
+
+    comparisons = 0
+
+    def _counted(method):  # noqa: N805 - decorator over int's methods
+        def compare(self, other):
+            _CountingInt.comparisons += 1
+            return method(self, other)
+
+        return compare
+
+    __eq__ = _counted(int.__eq__)
+    __ne__ = _counted(int.__ne__)
+    __lt__ = _counted(int.__lt__)
+    __le__ = _counted(int.__le__)
+    __gt__ = _counted(int.__gt__)
+    __ge__ = _counted(int.__ge__)
+    __hash__ = int.__hash__
+
+
+_RANGE_OPS = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_small = st.integers(min_value=0, max_value=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=st.lists(st.tuples(_small, _small), max_size=40),
+    prefix=st.lists(_small, max_size=2),
+    op=st.sampled_from([None, *_RANGE_OPS]),
+    value=_small,
+)
+def test_scan_matches_brute_force(keys, prefix, op, value):
+    """``IndexData.scan`` returns exactly the row ids a filter over every
+    row selects, in index-key order (row-id order within one key), for
+    composite and single-column indexes and every probe shape."""
+    _c, _s, data = make_storage()
+    data.insert([
+        {"id": i, "a": a, "b": b} for i, (a, b) in enumerate(keys)
+    ])
+    for index_name, columns in (("t_ab", ("a", "b")), ("t_pk", ("id",))):
+        index = data.index_named(index_name)
+        depth = len(prefix)
+        if depth > len(columns) or (op is not None and depth == len(columns)):
+            continue
+        probe = tuple(prefix)
+        expected = []
+        for row_id, row in enumerate(data.rows):
+            key = tuple(row[c] for c in columns)
+            if key[:depth] != probe:
+                continue
+            if op is not None and not _RANGE_OPS[op](key[depth], value):
+                continue
+            expected.append((key, row_id))
+        expected.sort()
+        got = list(index.scan(probe, op, value if op else None))
+        assert got == [row_id for _key, row_id in expected], (
+            index_name, probe, op, value,
+        )
 
 
 class TestStorage:

@@ -217,6 +217,13 @@ def test_parallel_multi_morsel_scan_join_aggregate():
 # -- EXPLAIN ANALYZE golden parity (actual rows, not batch counts) -----------
 
 
+#: plans as an index nested-loop join probing the employees PK
+_INDEX_NL_SQL = (
+    "SELECT j.emp_id, e.salary FROM job_history j, employees e "
+    "WHERE e.emp_id = j.emp_id AND j.job_title = 3"
+)
+
+
 def test_explain_analyze_reports_rows_not_batches(tiny_db):
     sql = (
         "SELECT e.dept_id, COUNT(*) FROM employees e, departments d "
@@ -237,24 +244,37 @@ def test_explain_analyze_reports_rows_not_batches(tiny_db):
 
 
 def test_explain_analyze_actual_rows_match_row_engine(tiny_db):
-    sql = "SELECT emp_id FROM employees WHERE salary > 50"
-    per_mode = {}
-    for mode in EXECUTORS:
-        result = tiny_db.execute(sql, analyze=True, executor=mode)
-        stats = result.exec_stats
-        per_mode[mode] = {
-            "rows": dict(stats.node_rows),
-            "invocations": dict(stats.node_invocations),
-        }
-    # node ids differ between runs, so compare the sorted profiles
-    row = per_mode["row"]
-    for mode in ("vector", "parallel"):
-        assert sorted(per_mode[mode]["rows"].values()) == sorted(
-            row["rows"].values()
-        )
-        assert sorted(per_mode[mode]["invocations"].values()) == sorted(
-            row["invocations"].values()
-        )
+    for sql in ("SELECT emp_id FROM employees WHERE salary > 50",
+                _INDEX_NL_SQL):
+        per_mode = {}
+        for mode in EXECUTORS:
+            result = tiny_db.execute(sql, analyze=True, executor=mode)
+            stats = result.exec_stats
+            per_mode[mode] = {
+                "rows": dict(stats.node_rows),
+                "invocations": dict(stats.node_invocations),
+            }
+        # node ids differ between runs, so compare the sorted profiles
+        row = per_mode["row"]
+        for mode in ("vector", "parallel"):
+            assert sorted(per_mode[mode]["rows"].values()) == sorted(
+                row["rows"].values()
+            )
+            assert sorted(per_mode[mode]["invocations"].values()) == sorted(
+                row["invocations"].values()
+            )
+    # the index probe ran once per outer row under every engine
+    optimized = tiny_db.optimize(_INDEX_NL_SQL)
+    renders = {
+        mode: tiny_db.execute_plan(
+            optimized, analyze=True, executor=mode
+        ).explain_analyze(timing=False)
+        for mode in EXECUTORS
+    }
+    assert renders["vector"] == renders["row"]
+    assert renders["parallel"] == renders["row"]
+    assert "NESTED LOOPS INNER" in renders["row"]
+    assert "INDEX SCAN employees e via employees_pk" in renders["row"]
 
 
 # -- chaos: executor.batch.* fault points ------------------------------------
@@ -289,6 +309,8 @@ _HAVING_SQL = (
         ("executor.batch.Filter", _HAVING_SQL),
         ("executor.batch.HashJoin", _chaos_sql()),
         ("executor.batch.GroupBy", _chaos_sql()),
+        ("executor.batch.IndexScan", _INDEX_NL_SQL),
+        ("executor.batch.NestedLoopJoin", _INDEX_NL_SQL),
     ],
 )
 def test_batch_fault_with_fallback_recovers(point, sql):
