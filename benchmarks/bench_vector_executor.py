@@ -17,7 +17,9 @@ Targets (asserted here, gated in CI):
 * >= 1.5x on at least one paper-figure query.
 
 ``executor_speedup_index_nl`` (an index nested-loop join: the wide
-table probing a primary key) is reported and gated beside them.
+table probing a primary key) and ``executor_speedup_hash_join`` (a
+selective hash join: the wide table probing a small filtered dimension
+on a unique key) are reported and gated beside them.
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ INDEX_NL_QUERY = (
     "SELECT w.a, w.b, l.v FROM wide w, lookup l WHERE l.id = w.a AND w.c > 3"
 )
 
+#: hash join without fan-out: every wide row probes a hash table of
+#: about 90 dimension rows (unique ids) and about one in eleven matches
+#: (the alias ``x`` sorts after ``w``, which makes the wide side probe)
+HASH_JOIN_QUERY = (
+    "SELECT w.a, w.b, x.v FROM wide w, dim x WHERE x.id = w.a AND x.w = 3"
+)
+
 #: paper worked examples (see tests/paper_queries.py); Q4/Q5 are the
 #: join-elimination candidates whose post-transformation plans are pure
 #: scan/filter/join pipelines — exactly the batch engine's native path
@@ -89,6 +98,10 @@ def _wide_db() -> Database:
     db.execute_ddl("CREATE TABLE lookup (id INT PRIMARY KEY, v INT, w INT)")
     db.insert(
         "lookup", [{"id": i, "v": i % 37, "w": i % 11} for i in range(20_000)]
+    )
+    db.execute_ddl("CREATE TABLE dim (id INT, v INT, w INT)")
+    db.insert(
+        "dim", [{"id": i, "v": i % 37, "w": i % 11} for i in range(1000)]
     )
     db.analyze()
     return db
@@ -149,12 +162,17 @@ def test_vector_executor_speedup(hr_db):
 
     plan = wide.optimize(INDEX_NL_QUERY).plan.describe()
     assert "NESTED LOOPS INNER" in plan and "via lookup_pk" in plan, plan
-    row_s, vector_s, speedup = _paired_speedup(wide, INDEX_NL_QUERY)
-    metrics["executor_speedup_index_nl"] = round(speedup, 2)
-    lines.append(
-        f"{'index_nl':>14} {row_s * 1e3:9.1f} {vector_s * 1e3:10.1f} "
-        f"{speedup:7.2f}x"
-    )
+    plan = wide.optimize(HASH_JOIN_QUERY).plan.describe()
+    assert "HASH JOIN INNER on[w.a=x.id]" in plan, plan
+    for name, sql in (
+        ("index_nl", INDEX_NL_QUERY), ("hash_join", HASH_JOIN_QUERY)
+    ):
+        row_s, vector_s, speedup = _paired_speedup(wide, sql)
+        metrics[f"executor_speedup_{name}"] = round(speedup, 2)
+        lines.append(
+            f"{name:>14} {row_s * 1e3:9.1f} {vector_s * 1e3:10.1f} "
+            f"{speedup:7.2f}x"
+        )
     lines.append(f"microbench median speedup: {micro_median:.2f}x")
     record_report("vectorized executor speedup", "\n".join(lines), metrics)
 

@@ -49,6 +49,7 @@ DIRECTIONS = {
     "executor_speedup_micro_median": "higher",
     "executor_speedup_paper_q4": "higher",
     "executor_speedup_index_nl": "higher",
+    "executor_speedup_hash_join": "higher",
     # serving front end load bench (wall-clock; baselines are recorded
     # conservatively, the gate catches collapses, not machine noise)
     "server_statements_per_sec": "higher",

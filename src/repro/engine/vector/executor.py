@@ -20,6 +20,35 @@ the *row* engine pulls directly — the inner side of a bridged nested
 loop, run once per outer row — stays on the row engine: there a
 one-probe batch converted back to rows costs more than it saves.
 
+**Late materialization.**  Table columns enter the batch engine at two
+places only — table scans (slices of the version's cached ``columnar()``
+lists, never copied) and index fetches — and both carry only the
+``alias.column`` keys the statement reads.  That set is computed once
+per plan, on its first execution, and kept on the plan (a cached plan
+re-runs thousands of times).  It covers every expression on every plan
+node — scan filters, index binds and post/covered conjuncts, join keys,
+residuals and conjuncts, group keys and aggregate arguments, windows,
+sort keys, view subplans — and every column reference inside every
+subquery's query tree, because a TIS subquery reads the outer columns
+it correlates on from the binding built out of the outer row.  A
+statement holding an unqualified column reference, a subquery not built
+into a query tree, or an unknown plan node keeps every column: a missing
+key reads as NULL, so the set may be too large but never too small.
+Scans the row engine runs itself keep full rows.
+
+**Whole-column keys.**  Hash-join build and probe and hash-aggregate
+grouping iterate whole key columns — the column itself for one key,
+``zip`` of the columns for several — instead of building a tuple per
+row.  A join key with a NULL component (tested ``is None``) is replaced
+by ``None``, which never enters the hash table and so never matches.
+Aggregation groups a batch's row indices by key first, then updates each
+group's states once from its index list, so every group sees its values
+in row order and float sums are bit-identical to the row engine's.  An
+INNER/LEFT hash join gathers its candidates about ``BATCH_SIZE`` at a
+time and emits at most ``BATCH_SIZE`` rows per batch, so a fan-out probe
+never materialises a left batch times its fan-out before the next
+cancellation poll.
+
 Two invariants the hybrid guarantees:
 
 * **Work-unit parity.**  Every batch operator charges exactly the
@@ -56,23 +85,27 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ...errors import ExecutionError
 from ...optimizer.plans import (
+    Distinct,
     Filter,
     GroupBy,
     HashJoin,
     IndexScan,
     Limit,
+    MergeJoin,
     NestedLoopJoin,
     Plan,
     Project,
     SetOp,
     Sort,
     TableScan,
+    ViewScan,
+    WindowCompute,
 )
+from ...qtree.blocks import QueryNode, SetOpBlock
 from ...resilience import CancelToken, faults
 from ...sql import ast
 from ..executor import ExecStats, Executor, _PlanRun
 from ..expressions import Accumulator, Row, agg_key
-from ..grouping import _hashable
 from ..reference import _sort_key
 from ..tables import TableLike
 from . import batch as vbatch
@@ -103,9 +136,8 @@ _MISSING = object()
 #: every column from the binding (a leaf index probe's bind values)
 _ONE_ROW = Batch({}, 1)
 
-# _NullKey's lazy singleton is not thread-safe on first creation; force
-# it at import time so parallel group-by partials can race safely.
-_NULL_KEY = _hashable(None)
+#: plan attribute holding the plan's column set once computed
+_COLUMNS_ATTR = "_vector_columns"
 
 
 def _columnar(data: TableLike) -> dict[str, list]:
@@ -150,7 +182,8 @@ class VectorExecutor:
         out: list[tuple] = []
         try:
             run = _VectorRun(
-                self._executor, stats, binds, token, analyze, pool
+                self._executor, stats, binds, token, analyze, pool,
+                _plan_columns(plan),
             )
             for batch in run.batches(plan, binding or {}):
                 out.extend(batch.output_tuples())
@@ -218,7 +251,7 @@ class _VectorRun:
 
     def __init__(self, executor: Executor, stats: ExecStats,
                  binds: Optional[dict], token: Optional[CancelToken],
-                 analyze: bool, pool=None):
+                 analyze: bool, pool, columns: Optional[frozenset[str]]):
         self._executor = executor
         self._storage = executor._storage
         self._catalog = executor._catalog
@@ -227,6 +260,8 @@ class _VectorRun:
         self._analyze = analyze
         self.stats = stats
         self._pool = pool
+        #: the table columns scans and index fetches carry (None: all)
+        self._columns = columns
         #: the row engine half of the hybrid (bridging + TIS subqueries)
         self._rows = _BridgeRun(executor, stats, binds, token, analyze, self)
         self._kernels = KernelCompiler(executor._functions, binds)
@@ -340,11 +375,16 @@ class _VectorRun:
         cm = self._cm
         # charged per *stored* row, filtered or not — same as the row loop
         per_row = cm.scan_row + cm.predicate_eval * len(plan.conjuncts)
-        alias = plan.alias
+        table = _columnar(data)
+        # the length comes from the same build as the columns: a second
+        # read of a live table handle could see a newer version
+        n = len(table["rowid"])
+        prefix = plan.alias + "."
+        wanted = self._columns
         columns = {
-            f"{alias}.{name}": col for name, col in _columnar(data).items()
+            prefix + name: col for name, col in table.items()
+            if wanted is None or prefix + name in wanted
         }
-        n = len(columns[f"{alias}.rowid"])
         whole = Batch(columns, n)
         morsels = [
             (start, min(start + BATCH_SIZE, n))
@@ -384,7 +424,7 @@ class _VectorRun:
         )
         post = self._predicate(plan.post_conjuncts)
         data = self._storage.get(plan.table_name)
-        return _IndexAccess(plan, data, eq, bound, post)
+        return _IndexAccess(plan, data, eq, bound, post, self._columns)
 
     def _vec_indexscan(self, plan: IndexScan, binding: Row) -> Iterator[Batch]:
         return self._indexscan_batches(plan, self._index_access(plan), binding)
@@ -618,36 +658,40 @@ class _VectorRun:
         build = vbatch.concat(list(self.batches(plan.right, binding)))
         n_build = build.length
         charge(cm.hash_row * n_build)
-        key_columns = self._key_columns(build, right_keys, binding)
-        table: dict[tuple, list[int]] = {}
+        build_keys = _join_keys(self._key_columns(build, right_keys, binding))
+        #: key -> build row indices in build order; NULL keys stay out
+        table: dict[object, list[int]] = {}
         build_has_null_key = False
-        for i in range(n_build):
-            key = tuple(column[i] for column in key_columns)
-            if any(v is None for v in key):
+        get = table.get
+        for i, key in enumerate(build_keys):
+            if key is None:
                 build_has_null_key = True
                 continue
-            bucket = table.get(key)
+            bucket = get(key)
             if bucket is None:
                 table[key] = [i]
             else:
                 bucket.append(i)
 
-        join_type = plan.join_type
-        inner_like = join_type in ("INNER", "LEFT")
+        inner_like = plan.join_type in ("INNER", "LEFT")
         for lbatch in self.batches(plan.left, binding):
             n = lbatch.length
             charge(cm.hash_row * n)
-            probe_columns = self._key_columns(lbatch, left_keys, binding)
+            probe_keys = _join_keys(
+                self._key_columns(lbatch, left_keys, binding)
+            )
+            # None for a NULL key: NULL keys are never in the table
+            buckets = list(map(get, probe_keys))
             if inner_like:
-                out = self._hj_inner(
-                    plan, lbatch, probe_columns, build, table,
-                    residual, pair_cost, binding,
+                yield from self._hj_inner(
+                    plan, lbatch, buckets, build, residual, pair_cost,
+                    binding,
                 )
-            else:
-                out = self._hj_semi(
-                    plan, lbatch, probe_columns, build, table,
-                    residual, pair_cost, binding, build_has_null_key,
-                )
+                continue
+            out = self._hj_semi(
+                plan, lbatch, probe_keys, buckets, build, residual,
+                pair_cost, binding, bool(table), build_has_null_key,
+            )
             if out is not None:
                 yield out
 
@@ -676,61 +720,73 @@ class _VectorRun:
         return columns
 
     def _hj_inner(self, plan: HashJoin, lbatch: Batch,
-                  probe_columns: list[list], build: Batch,
-                  table: dict[tuple, list[int]],
+                  buckets: list, build: Batch,
                   residual: Optional[PredicateKernel], pair_cost: float,
-                  binding: Row) -> Optional[Batch]:
-        """INNER/LEFT probe for one left batch.  Emission order matches
-        the row loop: per left row, its passing matches in build order,
-        then (LEFT) the null-extended row when none passed."""
+                  binding: Row) -> Iterator[Batch]:
+        """INNER/LEFT probe for one left batch, given each left row's
+        bucket of build rows (None: no match).
+
+        Emission order matches the row loop: per left row, its passing
+        matches in build order, then (LEFT) the null-extended row when
+        none passed.  Candidates are processed — and output emitted — in
+        chunks of about BATCH_SIZE, so a fan-out probe never
+        materialises a whole left batch times its fan-out.
+        """
         charge = self.stats.charge
         n = lbatch.length
-        cand_left: list[int] = []
-        cand_right: list[int] = []
-        empty: list[int] = []
-        for i in range(n):
-            key = tuple(column[i] for column in probe_columns)
-            matches = (
-                empty if any(v is None for v in key)
-                else table.get(key, empty)
-            )
-            for j in matches:
-                cand_left.append(i)
-                cand_right.append(j)
-        charge(pair_cost * len(cand_left))
-        if residual is not None and cand_left:
-            pair = self._pair_batch(
-                residual.keys, lbatch, cand_left, build, cand_right, binding
-            )
-            selected = residual.select(pair, range(len(cand_left)), binding)
-        else:
-            selected = list(range(len(cand_left)))
-        if plan.join_type == "INNER":
-            if not selected:
-                return None
-            out_left = [cand_left[s] for s in selected]
-            out_right = [cand_right[s] for s in selected]
-        else:  # LEFT: weave null-extension rows into the left order
-            out_left, out_right = [], []
-            pos = 0
-            n_selected = len(selected)
-            for i in range(n):
-                matched = False
-                while pos < n_selected and cand_left[selected[pos]] == i:
-                    out_left.append(i)
-                    out_right.append(cand_right[selected[pos]])
-                    matched = True
-                    pos += 1
-                if not matched:
-                    out_left.append(i)
-                    out_right.append(-1)
-        return self._merged_batch(lbatch, out_left, build, out_right)
+        hits = [i for i, bucket in enumerate(buckets) if bucket is not None]
+        left_join = plan.join_type == "LEFT"
+        if not hits and not left_join:
+            return
+        #: LEFT: rows that matched, and the first row whose null
+        #: extension is still undecided
+        matched = bytearray(n)
+        pending = 0
+        n_hits = len(hits)
+        h = 0
+        while True:
+            cand_left: list[int] = []
+            cand_right: list[int] = []
+            while h < n_hits and len(cand_right) < BATCH_SIZE:
+                i = hits[h]
+                bucket = buckets[i]
+                cand_left.extend([i] * len(bucket))
+                cand_right.extend(bucket)
+                h += 1
+            # rows before the next hit have all their candidates in hand
+            closed = hits[h] if h < n_hits else n
+            m = len(cand_right)
+            charge(pair_cost * m)
+            selected: Sequence[int] = range(m)
+            if residual is not None and m:
+                pair = self._pair_batch(
+                    residual.keys, lbatch, cand_left, build, cand_right,
+                    binding,
+                )
+                selected = residual.select(pair, selected, binding)
+            if left_join:
+                out_left, out_right, pending = _weave_left(
+                    selected, cand_left, cand_right, matched, pending, closed
+                )
+            elif len(selected) == m:
+                out_left, out_right = cand_left, cand_right
+            else:
+                out_left = [cand_left[s] for s in selected]
+                out_right = [cand_right[s] for s in selected]
+            for start in range(0, len(out_left), BATCH_SIZE):
+                end = start + BATCH_SIZE
+                yield self._merged_batch(
+                    lbatch, out_left[start:end], build,
+                    out_right[start:end], left_join,
+                )
+            if h == n_hits:
+                return
 
-    def _hj_semi(self, plan: HashJoin, lbatch: Batch,
-                 probe_columns: list[list], build: Batch,
-                 table: dict[tuple, list[int]],
+    def _hj_semi(self, plan: HashJoin, lbatch: Batch, probe_keys: Sequence,
+                 buckets: list, build: Batch,
                  residual: Optional[PredicateKernel], pair_cost: float,
-                 binding: Row, build_has_null_key: bool) -> Optional[Batch]:
+                 binding: Row, build_has_keys: bool,
+                 build_has_null_key: bool) -> Optional[Batch]:
         """SEMI/ANTI/ANTI_NA probe for one left batch.
 
         Residual candidates are costed round-by-round — every left row's
@@ -740,55 +796,41 @@ class _VectorRun:
         """
         charge = self.stats.charge
         n = lbatch.length
-        matched = bytearray(n)
-        key_null = bytearray(n)
-        match_lists: list[Sequence[int]] = []
-        empty: tuple = ()
-        for i in range(n):
-            key = tuple(column[i] for column in probe_columns)
-            if any(v is None for v in key):
-                key_null[i] = 1
-                match_lists.append(empty)
-            else:
-                match_lists.append(table.get(key, empty))
         if residual is None:
-            for i in range(n):
-                if match_lists[i]:
-                    charge(pair_cost)  # first candidate passes; row breaks
-                    matched[i] = 1
+            # the first candidate passes; the row loop breaks there
+            matched = [bucket is not None for bucket in buckets]
+            charge(pair_cost * sum(matched))
         else:
-            active = [i for i in range(n) if match_lists[i]]
+            matched = [False] * n
+            active = [i for i, bucket in enumerate(buckets) if bucket]
             position = 0
             while active:
-                cand_left = active
-                cand_right = [match_lists[i][position] for i in active]
-                charge(pair_cost * len(cand_left))
+                cand_right = [buckets[i][position] for i in active]
+                charge(pair_cost * len(active))
                 pair = self._pair_batch(
-                    residual.keys, lbatch, cand_left, build,
-                    cand_right, binding,
+                    residual.keys, lbatch, active, build, cand_right, binding,
                 )
-                for s in residual.select(
-                    pair, range(len(cand_left)), binding
-                ):
-                    matched[cand_left[s]] = 1
+                for s in residual.select(pair, range(len(active)), binding):
+                    matched[active[s]] = True
                 position += 1
                 active = [
                     i for i in active
-                    if not matched[i] and len(match_lists[i]) > position
+                    if not matched[i] and len(buckets[i]) > position
                 ]
 
         join_type = plan.join_type
         if join_type == "SEMI":
-            keep = [i for i in range(n) if matched[i]]
-        elif join_type == "ANTI":
+            keep = list(itertools.compress(range(n), matched))
+        elif join_type == "ANTI" or not (build_has_keys or build_has_null_key):
+            # ANTI, or ANTI_NA over an empty build side: no row matched
             keep = [i for i in range(n) if not matched[i]]
-        elif table or build_has_null_key:  # ANTI_NA, non-empty build
+        elif build_has_null_key:
+            keep = []  # ANTI_NA: a NULL build key may equal any row's key
+        else:  # ANTI_NA: a NULL probe key may equal any build key
             keep = [
                 i for i in range(n)
-                if not (matched[i] or key_null[i] or build_has_null_key)
+                if not matched[i] and probe_keys[i] is not None
             ]
-        else:  # ANTI_NA over an empty build side keeps every left row
-            keep = list(range(n))
         if not keep:
             return None
         return lbatch.gather(keep)
@@ -811,15 +853,21 @@ class _VectorRun:
                 ]
         return Batch(columns, len(left_indices))
 
-    def _merged_batch(self, lbatch: Batch, left_indices: list[int],
-                      build: Batch, right_indices: list[int]) -> Batch:
+    @staticmethod
+    def _merged_batch(lbatch: Batch, left_indices: list[int], build: Batch,
+                      right_indices: list[int], null_extended: bool) -> Batch:
+        """Join output rows; with *null_extended*, a ``-1`` right index
+        reads NULL."""
         columns: dict[str, list] = {}
         for key, column in lbatch.columns.items():
-            columns[key] = [column[i] for i in left_indices]
+            columns[key] = list(map(column.__getitem__, left_indices))
         for key, column in build.columns.items():
-            columns[key] = [
-                column[j] if j >= 0 else None for j in right_indices
-            ]
+            if null_extended:
+                columns[key] = [
+                    column[j] if j >= 0 else None for j in right_indices
+                ]
+            else:
+                columns[key] = list(map(column.__getitem__, right_indices))
         return Batch(columns, len(left_indices))
 
     # -- aggregation ------------------------------------------------------------
@@ -843,14 +891,14 @@ class _VectorRun:
         per_row = cm.agg_row * max(len(specs), 1)
         #: key -> [rep_batch, rep_index, states]; insertion-ordered, so
         #: output order matches the row engine's first-seen order
-        groups: dict[tuple, list] = {}
+        groups: dict[object, list] = {}
         pool = self._pool
         child = self.batches(plan.child, binding)
         if pool is not None:
             batches = list(child)
 
-            def partial(batch: Batch) -> dict[tuple, list]:
-                part: dict[tuple, list] = {}
+            def partial(batch: Batch) -> dict[object, list]:
+                part: dict[object, list] = {}
                 self._accumulate(
                     batch, part, key_kernels, specs, binding
                 )
@@ -895,21 +943,43 @@ class _VectorRun:
                     key_kernels: list[ValueKernel], specs: list,
                     binding: Row) -> None:
         """Accumulate one batch into *groups* (pure w.r.t. run state, so
-        morsel workers can build partials concurrently)."""
+        morsel workers can build partials concurrently).
+
+        The batch's row indices are grouped by key first; then each
+        group's states are updated once, from its index list — in row
+        order, so every group appends its values in the row engine's
+        order.
+        """
         n = batch.length
+        if not n:
+            return
         indices = range(n)
         key_columns = [
             k.evaluate(batch, indices, binding) for k in key_kernels
         ]
+        #: key -> this batch's row indices; first-seen order
+        members: dict[object, Sequence[int]]
+        if not key_columns:
+            members = {(): indices}
+        else:
+            members = {}
+            get = members.get
+            for i, key in enumerate(
+                key_columns[0] if len(key_columns) == 1
+                else zip(*key_columns)
+            ):
+                rows = get(key)
+                if rows is None:
+                    members[key] = [i]
+                else:
+                    rows.append(i)
         arg_columns = [
             None if kernel is None else kernel.evaluate(
                 batch, indices, binding
             )
             for _call, kernel, _star in specs
         ]
-        n_specs = len(specs)
-        for i in indices:
-            key = tuple(_hashable(column[i]) for column in key_columns)
+        for key, rows in members.items():
             group = groups.get(key)
             if group is None:
                 #: state per aggregate: [star_count, values, seen-or-None]
@@ -917,23 +987,25 @@ class _VectorRun:
                     [0, [], set() if call.distinct else None]
                     for call, _kernel, _star in specs
                 ]
-                group = [batch, i, states]
+                group = [batch, rows[0], states]
                 groups[key] = group
-            states = group[2]
-            for j in range(n_specs):
-                state = states[j]
-                if specs[j][2]:
-                    state[0] += 1
+            whole = len(rows) == n
+            for state, (_call, _kernel, star), column in zip(
+                group[2], specs, arg_columns
+            ):
+                if star:
+                    state[0] += len(rows)
                     continue
-                value = arg_columns[j][i]
-                if value is None:
-                    continue
+                values = column if whole else map(column.__getitem__, rows)
                 seen = state[2]
-                if seen is not None:
-                    if value in seen:
-                        continue
-                    seen.add(value)
-                state[1].append(value)
+                if seen is None:
+                    state[1] += [v for v in values if v is not None]
+                    continue
+                append = state[1].append
+                for value in values:
+                    if value is not None and value not in seen:
+                        seen.add(value)
+                        append(value)
 
     @staticmethod
     def _merge_partial(groups: dict, part: dict, specs: list) -> None:
@@ -1065,6 +1137,115 @@ def _agg_finish(name: str, state: list) -> object:
     raise ExecutionError(f"unknown aggregate {name!r}")
 
 
+def _join_keys(columns: list[list]) -> Sequence:
+    """Per row, its hash-join key: the value itself for one key column,
+    the tuple of values for several — and ``None`` when any component is
+    NULL, so the row never matches."""
+    if len(columns) == 1:
+        return columns[0]
+    keys: list = list(zip(*columns))
+    for column in columns:
+        if None in column:  # a cheap pre-check; the test is ``is None``
+            for i, value in enumerate(column):
+                if value is None:
+                    keys[i] = None
+    return keys
+
+
+def _plan_columns(plan: Plan) -> Optional[frozenset[str]]:
+    """The table columns a run of *plan* carries (``None``: all of
+    them), computed on the plan's first execution and kept on the plan."""
+    columns = getattr(plan, _COLUMNS_ATTR, _MISSING)
+    if columns is _MISSING:
+        columns = _referenced_columns(plan)
+        setattr(plan, _COLUMNS_ATTR, columns)
+    return columns
+
+
+def _referenced_columns(plan: Plan) -> Optional[frozenset[str]]:
+    """Every ``alias.column`` key an expression in *plan* references —
+    on any node, view subplans included, and inside any subquery's query
+    tree (a TIS subquery reads its outer columns from the binding built
+    out of the outer row, and plans its own body from that tree).
+
+    ``None`` when the plan holds an unqualified column reference, a
+    subquery not built into a query tree, or a node kind this walk does
+    not know: a key missing from a batch silently reads as NULL, so the
+    set must never be too small.
+    """
+    keys: set[str] = set()
+    #: plan nodes, expressions and subquery trees still to visit
+    pending: list[object] = list(plan.walk())
+    queries: set[int] = set()
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Plan):
+            exprs = _node_exprs(item)
+            if exprs is None:
+                return None
+            pending.extend(exprs)
+            if isinstance(item, ViewScan):
+                keys.update(f"{a}.{c}" for a, c in item.correlation_keys)
+        elif isinstance(item, ast.Expr):
+            for node in item.walk():
+                if isinstance(node, ast.ColumnRef):
+                    if node.qualifier is None:
+                        return None
+                    keys.add(f"{node.qualifier}.{node.name}")
+                elif isinstance(node, ast.SubqueryExpr):
+                    query = node.query
+                    if not isinstance(query, QueryNode):
+                        return None
+                    if id(query) not in queries:
+                        queries.add(id(query))
+                        pending.extend(_query_exprs(query))
+    return frozenset(keys)
+
+
+def _node_exprs(node: Plan) -> Optional[list]:
+    """The expressions one plan node evaluates (``None``: unknown
+    node)."""
+    if isinstance(node, (TableScan, ViewScan, NestedLoopJoin, Filter)):
+        return list(node.conjuncts)
+    if isinstance(node, IndexScan):
+        exprs = [expr for _column, expr in node.eq_binds]
+        if node.range_bind is not None:
+            exprs.append(node.range_bind[2])
+        return exprs + node.post_conjuncts + node.covered_conjuncts
+    if isinstance(node, (HashJoin, MergeJoin)):
+        return node.left_keys + node.right_keys + node.residual_conjuncts
+    if isinstance(node, GroupBy):
+        return node.group_exprs + list(node.aggregates)
+    if isinstance(node, WindowCompute):
+        return list(node.windows)
+    if isinstance(node, Sort):
+        return [item.expr for item in node.order_by]
+    if isinstance(node, Project):
+        return [item.expr for item in node.select_items]
+    if isinstance(node, (Limit, Distinct, SetOp)):
+        return []
+    return None
+
+
+def _query_exprs(query: QueryNode) -> list[ast.Expr]:
+    """The expressions of *query*'s blocks, derived tables and set-op
+    branches included; nested subqueries are reached through their
+    :class:`~repro.sql.ast.SubqueryExpr` nodes."""
+    exprs: list[ast.Expr] = []
+    nodes: list[QueryNode] = [query]
+    while nodes:
+        node = nodes.pop()
+        exprs.extend(item.expr for item in node.order_by)
+        if isinstance(node, SetOpBlock):
+            nodes.extend(node.branches)
+            continue
+        exprs.extend(item.expr for item in node.select_items)
+        exprs.extend(node.all_conjuncts())
+        exprs.extend(node.group_by)
+        nodes.extend(item.subquery for item in node.derived_from_items())
+    return exprs
+
+
 class _IndexAccess:
     """One :class:`IndexScan` compiled for the batch engine: bind
     kernels, post-filter kernel, the index and the table's rows.
@@ -1080,7 +1261,8 @@ class _IndexAccess:
 
     def __init__(self, plan: IndexScan, data: TableLike,
                  eq: list[ValueKernel], bound: Optional[ValueKernel],
-                 post: Optional[PredicateKernel]):
+                 post: Optional[PredicateKernel],
+                 wanted: Optional[frozenset[str]]):
         self.eq = eq
         self.bound = bound
         self.op = plan.range_bind[1] if plan.range_bind is not None else None
@@ -1088,11 +1270,17 @@ class _IndexAccess:
         self.index = data.index_named(plan.index.name)
         self.rows = data.rows
         names = list(data.table.columns)
+        prefix = plan.alias + "."
+        #: the fetched columns: those in the statement's column set
         self.fields = [
-            (f"{plan.alias}.{name}", operator.itemgetter(name))
+            (prefix + name, operator.itemgetter(name))
             for name in names
+            if wanted is None or prefix + name in wanted
         ]
-        self.rowid_key = f"{plan.alias}.rowid"
+        rowid_key = prefix + "rowid"
+        self.rowid_key = (
+            rowid_key if wanted is None or rowid_key in wanted else None
+        )
         #: the stored row a NULL-extended output row reads
         self.null_row = dict.fromkeys(names)
 
@@ -1115,7 +1303,7 @@ class _IndexAccess:
 
     def columns(self, row_ids: list[int],
                 wanted: Optional[set[str]] = None) -> dict[str, list]:
-        """The scan's columns (all, or those in *wanted*) for *row_ids*;
+        """The fetched columns (all, or those in *wanted*) for *row_ids*;
         a ``-1`` row id reads as the NULL extension."""
         rows = self.rows
         null_row = self.null_row
@@ -1125,8 +1313,9 @@ class _IndexAccess:
             for key, field in self.fields
             if wanted is None or key in wanted
         }
-        if wanted is None or self.rowid_key in wanted:
-            columns[self.rowid_key] = [r if r >= 0 else None for r in row_ids]
+        rowid_key = self.rowid_key
+        if rowid_key is not None and (wanted is None or rowid_key in wanted):
+            columns[rowid_key] = [r if r >= 0 else None for r in row_ids]
         return columns
 
     def joined(self, lbatch: Batch, left_indices: list[int],
