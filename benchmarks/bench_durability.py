@@ -62,12 +62,12 @@ def _sweep_current(db: Database, offset: int) -> float:
 
 def _sweep_stripped(db: Database, offset: int) -> float:
     """The pre-durability mutation path, inlined: storage insert +
-    statistics invalidation with no durability dispatch at all."""
+    statistics staleness accounting with no durability dispatch at all."""
     started = time.perf_counter()
     for b in range(BATCHES):
-        db.storage.get("items").insert(_batch(offset + b * ROWS_PER_BATCH))
-        db.statistics.drop("items")
-        db._sampling_cache.invalidate("items")
+        data = db.storage.get("items")
+        data.insert(_batch(offset + b * ROWS_PER_BATCH))
+        db.statistics.record_insert("items", data.row_count)
     db.analyze("items")
     return time.perf_counter() - started
 

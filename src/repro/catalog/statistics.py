@@ -6,6 +6,14 @@ sampling: it scans the stored rows and builds exact statistics.  The
 cost-based transformation framework caches expensive statistic
 computations across optimizer invocations (§3.4.4 of the paper); that
 cache lives in :mod:`repro.cbqt.caching` and wraps the functions here.
+
+Staleness follows Oracle's DML monitoring (``DBMS_STATS``
+``STALE_PERCENT``): a table's statistics — gathered by ANALYZE or
+produced by dynamic sampling — describe a *basis* row count, and stay in
+force until the rows inserted since exceed :data:`STALE_PERCENT` of it.
+:meth:`StatisticsRegistry.record_insert` is the one place that decision
+is made; below the threshold an insert changes neither the statistics
+nor any version counter, so dependent cursors and the plan memo survive.
 """
 
 from __future__ import annotations
@@ -23,6 +31,11 @@ DEFAULT_HISTOGRAM_BUCKETS = 32
 DEFAULT_EQ_SELECTIVITY = 0.01
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_LIKE_SELECTIVITY = 0.05
+
+#: Statistics go stale once the rows inserted since they were gathered
+#: exceed this percentage of the rows they describe (Oracle's default
+#: ``STALE_PERCENT``).
+STALE_PERCENT = 10
 
 
 class Histogram:
@@ -206,18 +219,32 @@ class StatisticsRegistry:
     """Holds per-table statistics; the optimizer reads through this.
 
     Like the catalog, the registry keeps monotonic version counters
-    (global and per table) bumped on every statistics change — including
-    ``drop``, which ``Database.insert`` uses to mark stale statistics —
-    so cached plans can detect staleness with an O(1) comparison."""
+    (global and per table) bumped on every statistics change, so cached
+    plans, the plan memo and the dynamic-sampling cache detect staleness
+    with an O(1) comparison.
+
+    It also owns the staleness rule (see the module docstring).  Per
+    table it keeps the *basis*: the row count the current statistics
+    describe — ``stats.row_count`` after :meth:`set`, the table's row
+    count at the moment of a :meth:`record_insert` version bump.  Dynamic
+    sampling samples exactly the first ``basis`` rows, so a sampled
+    table's statistics are also fixed until the next bump."""
 
     def __init__(self) -> None:
         self._stats: dict[str, TableStats] = {}
-        #: guards version bumps: ANALYZE and bulk-insert drops run on
-        #: server worker threads concurrently, and `+= 1` on a shared
-        #: counter is not atomic — a lost bump is a stale cached plan
+        #: guards version bumps and the staleness bookkeeping: ANALYZE
+        #: and inserts run on server worker threads concurrently, and
+        #: `+= 1` on a shared counter is not atomic — a lost bump is a
+        #: stale cached plan
         self._lock = threading.Lock()
         self._version = 0
         self._table_versions: dict[str, int] = {}
+        #: table -> row count the current statistics describe
+        self._basis: dict[str, int] = {}
+        #: table -> row count reported by the latest insert
+        self._rows_seen: dict[str, int] = {}
+        #: inserts that crossed the staleness threshold
+        self._stale_drops = 0
 
     @property
     def version(self) -> int:
@@ -228,35 +255,95 @@ class StatisticsRegistry:
         """Statistics version of one table (0 until first change)."""
         return self._table_versions.get(table.lower(), 0)  # staticcheck: ignore[lock.discipline] GIL-atomic int/dict read; writers serialize under the lock
 
-    def _bump(self, table: str) -> None:
+    def sampling_basis(self, table: str) -> tuple[int, Optional[int]]:
+        """``(table_version, basis)`` read together, for the sampling
+        cache; the basis is None when no statistics change has recorded
+        one (the table was populated outside :meth:`record_insert`)."""
+        key = table.lower()
         with self._lock:
-            self._version += 1
-            key = table.lower()
-            self._table_versions[key] = self._table_versions.get(key, 0) + 1
+            return self._table_versions.get(key, 0), self._basis.get(key)
+
+    def _bump(self, key: str) -> None:
+        """Caller holds ``self._lock``."""
+        self._version += 1
+        self._table_versions[key] = self._table_versions.get(key, 0) + 1
 
     def set(self, table: str, stats: TableStats) -> None:
-        self._stats[table.lower()] = stats
-        self._bump(table)
+        key = table.lower()
+        with self._lock:
+            self._stats[key] = stats
+            self._basis[key] = stats.row_count
+            self._rows_seen[key] = stats.row_count
+            self._bump(key)
 
     def get(self, table: str) -> Optional[TableStats]:
-        return self._stats.get(table.lower())
+        return self._stats.get(table.lower())  # staticcheck: ignore[lock.discipline] GIL-atomic dict read on the optimizer's hot path; writers serialize under the lock
 
-    def drop(self, table: str) -> None:
-        # Bump even when no statistics were stored: a drop signals the
-        # underlying data changed (bulk insert), which stales cached plans
-        # whether or not statistics had been collected.
-        self._stats.pop(table.lower(), None)
-        self._bump(table)
+    def record_insert(self, table: str, rows_now: int) -> bool:
+        """Account an insert that left *table* with *rows_now* rows.
+
+        Returns True when the rows inserted since the statistics were
+        gathered exceed :data:`STALE_PERCENT` of their basis (a basis of
+        0 goes stale on the first row): the statistics are dropped, the
+        version bumps and the basis becomes *rows_now*.  Otherwise
+        nothing the optimizer reads changes."""
+        key = table.lower()
+        with self._lock:
+            self._rows_seen[key] = rows_now
+            basis = self._basis.get(key, 0)
+            if (rows_now - basis) * 100 <= STALE_PERCENT * basis:
+                return False
+            self._stats.pop(key, None)
+            self._basis[key] = rows_now
+            self._stale_drops += 1
+            self._bump(key)
+        return True
 
     def clear(self) -> None:
-        tables = list(self._stats)
-        self._stats.clear()
-        for table in tables:
-            self._bump(table)
+        with self._lock:
+            tables = list(self._stats)
+            self._stats.clear()
+            for key in tables:
+                self._basis.pop(key, None)
+                self._rows_seen.pop(key, None)
+                self._bump(key)
 
     def items(self) -> list[tuple[str, TableStats]]:
         """Snapshot of every table's statistics (checkpoint path)."""
-        return sorted(self._stats.items())
+        with self._lock:
+            return sorted(self._stats.items())
+
+    def bases(self) -> dict[str, int]:
+        """Every recorded basis (checkpoint path and state digest)."""
+        with self._lock:
+            return dict(sorted(self._basis.items()))
+
+    def restore_basis(self, table: str, basis: int, rows_now: int) -> None:
+        """Reinstate a checkpointed basis for a table now holding
+        *rows_now* rows (recovery path): no version bump — the
+        statistics it describes were restored with it."""
+        key = table.lower()
+        with self._lock:
+            self._basis[key] = basis
+            self._rows_seen[key] = rows_now
+
+    def snapshot(self) -> dict:
+        """DML-monitoring export for the metrics registry: per table the
+        basis and the rows inserted since it was recorded, plus how many
+        inserts crossed the staleness threshold."""
+        with self._lock:
+            return {
+                "stale_drops": self._stale_drops,
+                "tables": {
+                    key: {
+                        "basis_rows": basis,
+                        "rows_since_gathered": max(
+                            0, self._rows_seen.get(key, basis) - basis
+                        ),
+                    }
+                    for key, basis in sorted(self._basis.items())
+                },
+            }
 
 
 def stats_to_dict(stats: TableStats) -> dict:
@@ -331,19 +418,23 @@ def sample_statistics(
     column_names: Sequence[str],
     sample_fraction: float = 0.1,
     seed: int = 42,
+    row_count: Optional[int] = None,
 ) -> TableStats:
     """Dynamic sampling: statistics from a pseudo-random sample of rows.
 
     Used for tables with no collected statistics; this is the "expensive
     computation" the CBQT caching layer memoises (§3.4.4).  NDV is scaled
-    up from the sample with a first-order estimator.
+    up from the sample with a first-order estimator.  *row_count* limits
+    the sample to the first that many rows (the statistics basis), which
+    gives the same statistics as sampling ``rows[:row_count]``.
     """
     import random
 
     rng = random.Random(seed)
-    n = len(rows)
+    n = len(rows) if row_count is None else row_count
     k = max(1, int(n * sample_fraction)) if n else 0
-    sample = rng.sample(list(rows), k) if n else []
+    # drawing indices selects exactly the rows sampling the list would
+    sample = [rows[j] for j in rng.sample(range(n), k)] if n else []
     stats = collect_statistics(sample, column_names, with_histograms=True)
     scale = (n / k) if k else 0.0
     stats.row_count = n

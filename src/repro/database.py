@@ -268,7 +268,9 @@ class Database:
         self.storage = Storage()
         self.statistics = StatisticsRegistry()
         self.functions = FunctionRegistry()
-        self._sampling_cache = DynamicSamplingCache(self.storage, self.catalog)
+        self._sampling_cache = DynamicSamplingCache(
+            self.storage, self.catalog, self.statistics
+        )
         #: shared failure ledger for the degradation ladder (fix-control
         #: style kill switches; see repro.resilience.quarantine)
         self.quarantine = QuarantineRegistry(
@@ -285,9 +287,11 @@ class Database:
         self.metrics.register_collector(
             "dynamic_sampling", self._sampling_cache.snapshot
         )
+        self.metrics.register_collector("statistics", self.statistics.snapshot)
         #: cross-statement memo of optimized physical subplans, shared by
         #: every hard parse against this instance; epoch-invalidated on
-        #: catalog/statistics version bumps (DDL, INSERT, ANALYZE)
+        #: catalog/statistics version bumps (DDL, ANALYZE, an INSERT
+        #: that stales statistics)
         self.plan_memo = PlanMemo()
         self.metrics.register_collector("plan_memo", self.plan_memo.snapshot)
         #: 10053-style optimizer trace; None (the default) emits nothing.
@@ -394,13 +398,20 @@ class Database:
     def insert(self, table: str, rows: Iterable[dict]) -> int:
         """Insert dict rows (missing columns become NULL).
 
+        The table's statistics stay in force until the rows inserted
+        since they were gathered pass the staleness threshold
+        (:meth:`StatisticsRegistry.record_insert`); only then do they
+        drop, invalidating dependent cursors and the plan memo.
+
         On a durable instance the batch's WAL record is appended —
         normalised rows, one record for the whole batch — *before* the
         new table version is published, so an acknowledged insert
         survives a crash and a failed one is invisible everywhere."""
         manager = self.durability
         if manager is None:
-            count = self.storage.get(table).insert(rows)
+            data = self.storage.get(table)
+            count = data.insert(rows)
+            self.statistics.record_insert(table, data.row_count)
         else:
             with manager.exclusive():
                 data = self.storage.get(table)
@@ -415,9 +426,9 @@ class Database:
                     )
 
                 count = data.insert(rows, on_commit=log_then_publish)
-        self.statistics.drop(table)
-        self._sampling_cache.invalidate(table)
-        if manager is not None:
+                # under the exclusive lock, so the basis a stale drop
+                # records is the row count replay reaches at this record
+                self.statistics.record_insert(table, data.row_count)
             manager.maybe_checkpoint(self)
         return count
 
@@ -534,7 +545,8 @@ class Database:
     def snapshot(self) -> dict:
         """One consistent export of every metric the instance kept:
         counters, histogram percentiles, and the absorbed subsystem
-        accounting (quarantine, dynamic sampling, and — when a
+        accounting (quarantine, dynamic sampling, statistics staleness
+        monitoring, and — when a
         :class:`~repro.service.QueryService` wraps this database — the
         plan cache).  Empty when ``metrics`` was detached."""
         if self.metrics is None:
@@ -591,9 +603,10 @@ class Database:
 
         The epoch fingerprint carries everything a cached subplan depends
         on besides query structure: catalog/statistics versions (so DDL,
-        INSERT, and ANALYZE invalidate, like the plan cache) and the
-        costing-relevant config.  Statements with peeked bind values skip
-        the memo — peeks are not part of the structural signature."""
+        ANALYZE and a statistics-staling INSERT invalidate, like the plan
+        cache) and the costing-relevant config.  Statements with peeked
+        bind values skip the memo — peeks are not part of the structural
+        signature."""
         if not (config.plan_memo and config.annotation_reuse):
             return None
         fingerprint = (

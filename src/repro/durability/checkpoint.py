@@ -1,7 +1,8 @@
 """Checkpointing: one JSON snapshot of the full database state.
 
 A checkpoint captures the catalog (tables, indexes, expensive-function
-costs), every table's committed rows, and collected statistics, stamped
+costs), every table's committed rows, and collected statistics with each
+table's staleness basis (the row count they describe), stamped
 with the LSN of the last WAL record it reflects.  It is written
 atomically — temp file in the same directory, flush + fsync,
 ``os.replace`` over the live name, directory fsync — so a crash during
@@ -55,6 +56,7 @@ def build_checkpoint(
         "statistics": {
             name: stats_to_dict(stats) for name, stats in statistics.items()
         },
+        "statistics_basis": statistics.bases(),
         "expensive_functions": dict(catalog.expensive_functions),
     }
 

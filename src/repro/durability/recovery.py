@@ -4,7 +4,8 @@ The protocol, in order:
 
 1. load the checkpoint (if any) verbatim — table definitions with their
    exact index set via :meth:`Catalog.load_table`, rows re-inserted (which
-   rebuilds every index structure), statistics, expensive-function costs;
+   rebuilds every index structure), statistics and their staleness
+   basis, expensive-function costs;
 2. scan the WAL, truncating a torn final record (the signature of a
    crash mid-append) and refusing mid-file corruption;
 3. replay every record with ``lsn > checkpoint.lsn`` through the
@@ -100,6 +101,22 @@ def _load_checkpoint_state(
         report.checkpoint_rows += len(rows)
     for name, payload in state.get("statistics", {}).items():
         db.statistics.set(name, stats_from_dict(payload))
+    bases = state.get("statistics_basis")
+    if bases is None:
+        # a checkpoint written before the basis was persisted: analyzed
+        # statistics describe their own row count, a sampled table the
+        # rows it holds
+        bases = {}
+        for name in db.catalog.tables:  # staticcheck: ignore[lock.discipline] recovery runs before the instance is shared
+            stats = db.statistics.get(name)
+            bases[name] = (
+                stats.row_count if stats is not None
+                else db.storage.get(name).row_count
+            )
+    for name, basis in bases.items():
+        db.statistics.restore_basis(
+            name, basis, db.storage.get(name).row_count
+        )
     for name, cost in state.get("expensive_functions", {}).items():
         db.catalog.register_expensive_function(name, cost)
 
@@ -175,6 +192,7 @@ def state_digest(db: "Database") -> dict:
         "statistics": {
             name: stats_to_dict(stats) for name, stats in db.statistics.items()
         },
+        "statistics_basis": db.statistics.bases(),
         "expensive_functions": dict(db.catalog.expensive_functions),
     }
 

@@ -52,10 +52,12 @@ class IndexData:
         self._hash: dict[tuple, list[int]] = {}
         self._sorted_keys: list[tuple] = []
         self._sorted_dirty = False
-        #: keys whose buckets are shared with the version this structure
-        #: was copied from; such a bucket is replaced (not appended to)
-        #: on first touch so published versions stay immutable
-        self._inherited: set[tuple] = set()
+        #: while a ``copy()`` is being written: the key map of the
+        #: version it was copied from.  A bucket that is still the very
+        #: list found there is shared with a published version, so it is
+        #: replaced (not appended to) on first touch.  None for a fresh
+        #: build and after :meth:`seal`.
+        self._shared: Optional[dict[tuple, list[int]]] = None
 
     def copy(self) -> "IndexData":
         """A shallow structural copy for the next copy-on-write version:
@@ -64,8 +66,13 @@ class IndexData:
         clone._hash = dict(self._hash)
         clone._sorted_keys = self._sorted_keys
         clone._sorted_dirty = self._sorted_dirty
-        clone._inherited = set(self._hash)
+        clone._shared = self._hash
         return clone
+
+    def seal(self) -> None:
+        """Drop the copy-on-write bookkeeping once the version is built;
+        a published structure is never written again."""
+        self._shared = None
 
     def insert(self, key: tuple, row_id: int) -> None:
         if any(part is None for part in key):
@@ -78,9 +85,8 @@ class IndexData:
             raise ExecutionError(
                 f"unique index {self.index.name!r} violated for key {key!r}"
             )
-        elif key in self._inherited:
+        elif self._shared is not None and self._shared.get(key) is bucket:
             self._hash[key] = bucket + [row_id]
-            self._inherited.discard(key)
         else:
             bucket.append(row_id)
 
@@ -333,6 +339,8 @@ class TableData:
                     key = tuple(normalised[c] for c in data.index.columns)
                     data.insert(key, row_id)
                 batch.append(normalised)
+            for data in new_indexes.values():
+                data.seal()
             version = TableVersion(new_rows, new_indexes, current.version + 1)
 
             def publish() -> None:

@@ -23,10 +23,52 @@ class TestDdlAndData:
     def test_create_and_insert(self, db):
         assert db.storage.get("items").row_count == 20
 
-    def test_insert_invalidates_statistics(self, db):
-        assert db.statistics.get("items") is not None
+    def test_insert_drops_statistics_only_past_stale_threshold(self, db):
+        stats = db.statistics.get("items")
+        version = db.statistics.table_version("items")
+        # 20 analyzed rows: up to 2 more (10%) leave the statistics alone
         db.insert("items", [{"id": 99, "price": 1, "kind": 0}])
+        db.insert("items", [{"id": 98, "price": 1, "kind": 0}])
+        assert db.statistics.get("items") is stats
+        assert db.statistics.table_version("items") == version
+        # the third inserted row crosses the threshold
+        db.insert("items", [{"id": 97, "price": 1, "kind": 0}])
         assert db.statistics.get("items") is None
+        assert db.statistics.table_version("items") == version + 1
+        # the new basis is the row count at the drop: 23 -> 25 stays
+        db.insert("items", [{"id": 96}, {"id": 95}])
+        assert db.statistics.table_version("items") == version + 1
+
+    def test_table_analyzed_empty_goes_stale_on_first_insert(self, db):
+        db.execute_ddl("CREATE TABLE empty_t (id INT PRIMARY KEY)")
+        db.analyze("empty_t")
+        assert db.statistics.get("empty_t").row_count == 0
+        db.insert("empty_t", [{"id": 1}])
+        assert db.statistics.get("empty_t") is None
+
+    def test_never_analyzed_table_samples_once_per_basis(self):
+        from repro.catalog.statistics import sample_statistics, stats_to_dict
+
+        db = Database()
+        db.execute_ddl("CREATE TABLE s (id INT PRIMARY KEY, v INT)")
+        db.insert("s", [{"id": i, "v": i % 13} for i in range(100)])
+        sql = "SELECT s.id FROM s WHERE s.v = 3"
+        db.optimize(sql)
+        sampler = db._sampling_cache
+        assert sampler.stats.misses == 1
+        # three inserts up to 110 rows: none crosses the threshold
+        for first, past in ((100, 103), (103, 106), (106, 110)):
+            db.insert("s", [{"id": i, "v": 0} for i in range(first, past)])
+            db.optimize(sql)
+        assert sampler.stats.misses == 1
+        rows = db.storage.get("s").rows
+        assert len(rows) == 110
+        expected = sample_statistics(rows[:100], ["id", "v"])
+        assert stats_to_dict(sampler("s")) == stats_to_dict(expected)
+        db.insert("s", [{"id": 110, "v": 0}])  # 111 rows: stale
+        db.optimize(sql)
+        assert sampler.stats.misses == 2
+        assert sampler("s").row_count == 111
 
     def test_create_index_backfills(self, db):
         db.execute_ddl("CREATE INDEX items_kind ON items (kind)")

@@ -146,6 +146,69 @@ class TestReplay:
         db.close()
 
 
+class TestStatisticsBasis:
+    def test_recovered_instance_goes_stale_at_the_same_insert(self, tmp_path):
+        """A checkpoint carries each table's staleness basis: after a
+        reopen the recovered instance drops its sampled statistics at
+        the same insert as a live twin, and samples the same rows."""
+        from repro.catalog.statistics import stats_to_dict
+
+        twin = Database()
+        db = _open(tmp_path)
+        rows = [{"id": i, "v": (i * 7) % 31} for i in range(200)]
+        for target in (twin, db):
+            target.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+            target.insert("t", rows)  # basis 200
+            target.insert("t", [{"id": 200 + i} for i in range(15)])
+        db.checkpoint()
+        db.close()
+        db = _open(tmp_path)
+        assert db.recovery.wal_records_applied == 0
+        drops = []
+        for batch in range(4):
+            first = 300 + batch * 3
+            for target in (twin, db):
+                before = target.statistics.table_version("t")
+                target.insert("t", [{"id": first + i} for i in range(3)])
+                drops.append(
+                    (target is db, target.statistics.table_version("t") > before)
+                )
+            assert stats_to_dict(db._sampling_cache("t")) == stats_to_dict(
+                twin._sampling_cache("t")
+            )
+        # 215 -> 227 rows: only the insert reaching 221 crosses 10% of 200
+        assert drops == [
+            (is_db, batch == 1) for batch in range(4) for is_db in (False, True)
+        ]
+        assert db.snapshot()["statistics"]["tables"] == (
+            twin.snapshot()["statistics"]["tables"]
+        )
+        db.close()
+
+    def test_checkpoint_without_basis_falls_back(self, tmp_path):
+        """An older checkpoint has no basis field: analyzed statistics
+        describe their own row count, a sampled table its current rows."""
+        _, checkpoint_path = _paths(tmp_path)
+        db = _open(tmp_path)
+        db.execute_ddl("CREATE TABLE a (id INT PRIMARY KEY)")
+        db.execute_ddl("CREATE TABLE s (id INT PRIMARY KEY)")
+        db.insert("a", [{"id": i} for i in range(50)])
+        db.analyze("a")
+        db.insert("a", [{"id": 50}])
+        db.insert("s", [{"id": i} for i in range(40)])
+        db.insert("s", [{"id": 40}, {"id": 41}])
+        db.checkpoint()
+        db.close()
+        with open(checkpoint_path) as handle:
+            state = json.load(handle)
+        assert state.pop("statistics_basis") == {"a": 50, "s": 40}
+        with open(checkpoint_path, "w") as handle:
+            json.dump(state, handle)
+        db = _open(tmp_path)
+        assert db.statistics.bases() == {"a": 50, "s": 42}
+        db.close()
+
+
 class TestRefusals:
     def test_unknown_op_refused(self, tmp_path):
         wal_path, _ = _paths(tmp_path)

@@ -132,6 +132,27 @@ class TestDatabaseSnapshot:
         assert "quarantined_global" in snap["quarantine"]
         assert set(snap["dynamic_sampling"]) == {"hits", "misses", "entries"}
 
+    def test_statistics_collector_reports_staleness(self, tiny_db):
+        analyzed = tiny_db.statistics.get("employees").row_count  # 80
+
+        def insert(first_id: int, count: int) -> None:
+            tiny_db.insert("employees", [
+                {"emp_id": first_id + i} for i in range(count)
+            ])
+
+        insert(1000, 8)  # exactly 10%: still fresh
+        snap = tiny_db.snapshot()["statistics"]
+        assert snap["tables"]["employees"] == {
+            "basis_rows": analyzed, "rows_since_gathered": 8,
+        }
+        drops = snap["stale_drops"]
+        insert(2000, 1)
+        snap = tiny_db.snapshot()["statistics"]
+        assert snap["stale_drops"] == drops + 1
+        assert snap["tables"]["employees"] == {
+            "basis_rows": analyzed + 9, "rows_since_gathered": 0,
+        }
+
     def test_absorbs_plan_cache_via_service(self, tiny_db):
         service = QueryService(tiny_db)
         service.execute("SELECT e.emp_id FROM employees e")

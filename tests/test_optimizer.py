@@ -212,7 +212,9 @@ class TestDynamicSampling:
         from repro.cbqt.caching import DynamicSamplingCache
 
         tiny_db.statistics.clear()
-        cache = DynamicSamplingCache(tiny_db.storage, tiny_db.catalog)
+        cache = DynamicSamplingCache(
+            tiny_db.storage, tiny_db.catalog, tiny_db.statistics
+        )
         optimizer = PhysicalOptimizer(
             tiny_db.catalog, tiny_db.statistics, stats_sampler=cache
         )

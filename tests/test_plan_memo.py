@@ -178,16 +178,27 @@ class TestInvalidation:
         db.execute_ddl("CREATE INDEX memo_inv_ix ON employees (salary)")
         self.assert_cold(db, warm_enums, before)
 
-    def test_insert_invalidates(self):
+    def test_only_a_stale_insert_invalidates(self):
         db = build_tiny_db()
-        _warm_enums, before = self.warm(db)
-        db.insert("employees", [{
-            "emp_id": 9001, "dept_id": 1, "salary": 50,
-            "employee_name": 9001, "mgr_id": None,
-        }])
-        # the changed statistics may change the chosen plan shape, so
-        # enumeration counts are not comparable — but the populated memo
-        # must have been cleared (that is what bumps the counter)
+        warm_enums, before = self.warm(db)
+        analyzed = db.statistics.get("employees").row_count
+
+        def insert(count: int, first_id: int) -> None:
+            db.insert("employees", [{
+                "emp_id": first_id + i, "dept_id": 1, "salary": 50,
+                "employee_name": first_id + i, "mgr_id": None,
+            } for i in range(count)])
+
+        # up to 10% more rows: statistics and the warm memo survive
+        insert(analyzed // 10, 9001)
+        report = db.optimize(SQL, MEMO_ON).report
+        assert db.plan_memo.stats.invalidations == before
+        assert report.join_enumerations == warm_enums
+        # one more row crosses the threshold: the changed statistics may
+        # change the chosen plan shape, so enumeration counts are not
+        # comparable — but the populated memo must have been cleared
+        # (that is what bumps the counter)
+        insert(1, 9901)
         db.optimize(SQL, MEMO_ON)
         assert db.plan_memo.stats.invalidations == before + 1
 

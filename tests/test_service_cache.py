@@ -96,14 +96,21 @@ def test_ddl_invalidates_dependent_entries_only():
     assert service.execute("SELECT b.id FROM b WHERE b.y = 1").cache_status == "hit"
 
 
-def test_insert_invalidates_via_stats_version():
+def test_insert_invalidates_only_past_stale_threshold():
     db = _two_table_db()
     service = QueryService(db)
-    service.execute("SELECT a.id FROM a WHERE a.x = 1")
-    db.insert("a", [{"id": 1000, "x": 1}])
-    result = service.execute("SELECT a.id FROM a WHERE a.x = 1")
+    sql = "SELECT a.id FROM a WHERE a.x = 1"
+    service.execute(sql)
+    # 100 analyzed rows: 10 more keep the statistics and the cursor
+    db.insert("a", [{"id": 1000 + i, "x": 1} for i in range(10)])
+    result = service.execute(sql)
+    assert result.cache_status == "hit"
+    assert (1009,) in result.rows  # the cached plan reads the new rows
+    # the 11th inserted row stales the statistics
+    db.insert("a", [{"id": 2000, "x": 1}])
+    result = service.execute(sql)
     assert result.cache_status == "miss"
-    assert (1000,) in result.rows
+    assert (2000,) in result.rows
 
 
 def test_explicit_invalidate_by_table():

@@ -1,5 +1,8 @@
 """Statistics and histogram tests."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.catalog.statistics import (
@@ -8,6 +11,7 @@ from repro.catalog.statistics import (
     TableStats,
     collect_statistics,
     sample_statistics,
+    stats_to_dict,
 )
 
 
@@ -98,13 +102,20 @@ class TestSampling:
         stats = sample_statistics([], ["x"])
         assert stats.row_count == 0
 
+    def test_sampling_a_prefix_matches_sampling_its_copy(self):
+        rows = rows_of([i % 37 for i in range(1000)])
+        prefix = sample_statistics(rows, ["x"], seed=5, row_count=600)
+        copied = sample_statistics(rows[:600], ["x"], seed=5)
+        assert stats_to_dict(prefix) == stats_to_dict(copied)
+        assert prefix.row_count == 600
+
 
 class TestRegistry:
     def test_set_get_drop(self):
         registry = StatisticsRegistry()
         registry.set("T", TableStats(row_count=7))
         assert registry.get("t").row_count == 7
-        registry.drop("T")
+        assert registry.record_insert("T", 8)  # 1 row is over 10% of 7
         assert registry.get("t") is None
 
     def test_clear(self):
@@ -112,3 +123,54 @@ class TestRegistry:
         registry.set("a", TableStats(row_count=1))
         registry.clear()
         assert registry.get("a") is None
+
+    def test_record_insert_threshold(self):
+        registry = StatisticsRegistry()
+        registry.set("t", TableStats(row_count=50))
+        version = registry.version
+        assert not registry.record_insert("t", 55)  # exactly 10%
+        assert registry.get("t") is not None
+        assert registry.version == version
+        assert registry.record_insert("t", 56)
+        assert registry.get("t") is None
+        assert registry.version == version + 1
+        assert registry.bases() == {"t": 56}
+        # a table nobody recorded has a basis of 0: stale on first rows
+        assert registry.record_insert("u", 1)
+        assert not registry.record_insert("u", 1)
+
+    def test_concurrent_inserts_lose_no_version_bump(self):
+        """Threads racing inserts across the threshold: every stale drop
+        bumps the version exactly once and no basis outruns the rows."""
+        from repro import Database
+
+        db = Database()
+        db.execute_ddl("CREATE TABLE c (id INT PRIMARY KEY)")
+        db.insert("c", [{"id": i} for i in range(10)])
+        db.analyze("c")
+        version = db.statistics.version
+        drops = db.statistics.snapshot()["stale_drops"]
+        next_id = iter(range(10, 10_000))
+        id_lock = threading.Lock()
+
+        def worker():
+            for _ in range(40):
+                with id_lock:
+                    ids = [next(next_id) for _ in range(3)]
+                db.insert("c", [{"id": i} for i in ids])
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = db.statistics.snapshot()
+        assert snap["stale_drops"] > drops
+        assert db.statistics.version == version + snap["stale_drops"] - drops
+        assert db.statistics.bases()["c"] <= db.storage.get("c").row_count

@@ -52,6 +52,48 @@ class TestInsert:
             data.insert([{"id": 1, "a": 2, "b": 2}])
 
 
+class TestCopyOnWriteIndex:
+    @staticmethod
+    def buckets(snapshot) -> dict:
+        index = snapshot.index_named("t_ab")
+        return {key: list(ids) for key, ids in index._hash.items()}
+
+    def test_appends_to_a_shared_bucket_leave_pinned_versions_alone(self):
+        _c, _s, data = make_storage()
+        data.insert([{"id": 1, "a": 1, "b": 1}])
+        pinned = [data.snapshot()]
+        # two appends to one non-unique bucket within one batch ...
+        data.insert([{"id": 2, "a": 1, "b": 1}, {"id": 3, "a": 1, "b": 1}])
+        pinned.append(data.snapshot())
+        # ... and across versions, next to a bucket the batch creates
+        data.insert([{"id": 4, "a": 1, "b": 1}])
+        pinned.append(data.snapshot())
+        data.insert([
+            {"id": 5, "a": 1, "b": 1},
+            {"id": 6, "a": 2, "b": 2},
+            {"id": 7, "a": 2, "b": 2},
+        ])
+        pinned.append(data.snapshot())
+        assert [self.buckets(snap) for snap in pinned] == [
+            {(1, 1): [0]},
+            {(1, 1): [0, 1, 2]},
+            {(1, 1): [0, 1, 2, 3]},
+            {(1, 1): [0, 1, 2, 3, 4], (2, 2): [5, 6]},
+        ]
+        for snap in pinned:
+            for index in snap.indexes.values():
+                assert index._shared is None  # published: no bookkeeping
+
+    def test_failed_batch_leaves_the_published_bucket_alone(self):
+        _c, _s, data = make_storage()
+        data.insert([{"id": 1, "a": 1, "b": 1}])
+        pinned = data.snapshot()
+        with pytest.raises(ExecutionError):
+            data.insert([{"id": 2, "a": 1, "b": 1}, {"id": 1}])
+        assert self.buckets(pinned) == {(1, 1): [0]}
+        assert data.snapshot().indexes is pinned.indexes
+
+
 class TestIndexScan:
     def test_eq_probe_full_key(self):
         _c, _s, data = make_storage()
