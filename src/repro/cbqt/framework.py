@@ -32,6 +32,7 @@ from typing import Callable, Optional
 
 from ..analysis import Diagnostic, TransformationAuditor
 from ..catalog.schema import Catalog
+from ..configstamp import Stamped
 from ..errors import OptimizerError, TransformError
 from ..obs.trace import Tracer
 from ..optimizer.physical import CostBudgetExceeded, PhysicalOptimizer
@@ -68,7 +69,7 @@ def _env_debug_checks() -> bool:
 
 
 @dataclass
-class CbqtConfig:
+class CbqtConfig(Stamped):
     """Knobs of the cost-based transformation framework."""
 
     #: master switch: False reproduces pre-10g heuristic mode

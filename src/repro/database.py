@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 from .analysis import DiagnosticReport, TransformationAuditor
 from .catalog.schema import Catalog, Index, TableDef
 from .catalog.statistics import StatisticsRegistry, collect_statistics
+from .configstamp import Stamped
 from .cbqt.caching import DynamicSamplingCache
 from .cbqt.framework import CbqtConfig, CbqtFramework, OptimizationReport
 from .durability import (
@@ -115,7 +116,7 @@ def _all_transformation_names() -> frozenset:
 
 
 @dataclass
-class OptimizerConfig:
+class OptimizerConfig(Stamped):
     """All optimizer knobs; the evaluation section's switches map 1:1.
 
     * Figure 2: ``OptimizerConfig()`` vs ``OptimizerConfig.heuristic_mode()``
@@ -848,12 +849,21 @@ class Database:
                 f"unknown executor mode {mode!r}; "
                 f"expected one of {'/'.join(EXECUTOR_MODES)}"
             )
-        physical = self._physical(config)
+        physical: Optional[PhysicalOptimizer] = None
+
+        def plan_subquery(query: QueryNode) -> Plan:
+            # only TIS subqueries need a physical optimizer: build it on
+            # first use, so a cached plan's execution never pays for it
+            nonlocal physical
+            if physical is None:
+                physical = self._physical(config)
+            return physical.optimize(query)
+
         row_executor = Executor(
             storage if storage is not None else self.storage,
             self.catalog,
             self.functions,
-            plan_subquery=physical.optimize,
+            plan_subquery=plan_subquery,
             cost_model=config.cost_model,
         )
         started = time.perf_counter()

@@ -106,11 +106,16 @@ from ...resilience import CancelToken, faults
 from ...sql import ast
 from ..executor import ExecStats, Executor, _PlanRun
 from ..expressions import Accumulator, Row, agg_key
-from ..reference import _sort_key
 from ..tables import TableLike
 from . import batch as vbatch
 from .batch import Batch, chunk_rows
-from .kernels import KernelCompiler, NotVectorizable, PredicateKernel, ValueKernel
+from .kernels import (
+    KernelCode,
+    KernelCompiler,
+    NotVectorizable,
+    PredicateKernel,
+    ValueKernel,
+)
 
 #: rows per batch / per scan morsel
 BATCH_SIZE = 1024
@@ -138,6 +143,9 @@ _ONE_ROW = Batch({}, 1)
 
 #: plan attribute holding the plan's column set once computed
 _COLUMNS_ATTR = "_vector_columns"
+
+#: plan-node attribute holding the node's kernel code once generated
+_KERNELS_ATTR = "_vector_kernels"
 
 
 def _columnar(data: TableLike) -> dict[str, list]:
@@ -264,33 +272,56 @@ class _VectorRun:
         self._columns = columns
         #: the row engine half of the hybrid (bridging + TIS subqueries)
         self._rows = _BridgeRun(executor, stats, binds, token, analyze, self)
-        self._kernels = KernelCompiler(executor._functions, binds)
-        self._pred_cache: dict[tuple, Optional[PredicateKernel]] = {}
-        self._value_cache: dict[int, Optional[ValueKernel]] = {}
+        self._binds = binds
+        self._functions = executor._functions
+        self._compiler = KernelCompiler()
+        #: this run's kernels (constants bound), by expression identity
+        self._kernels: dict[object, Optional[PredicateKernel | ValueKernel]] = {}
 
     # -- kernel caches ----------------------------------------------------------
 
-    def _predicate(self, conjuncts: Sequence[ast.Expr]) -> Optional[PredicateKernel]:
-        """Fused predicate kernel; ``None`` for an empty conjunct list.
-        Raises :class:`NotVectorizable` when any conjunct resists — the
-        caller then bridges the whole operator so *all* conjuncts run on
-        the row path in original order."""
+    def _kernel(self, plan: Plan, key: object,
+                generate: Callable[[], Optional[KernelCode]]):
+        """This run's kernel for the expression(s) identified by *key*
+        on *plan*, or ``None`` when not vectorizable.  The code is
+        generated on the plan's first execution and kept on the node
+        (keyed by the identity of expressions the node holds, so the key
+        is stable for the node's lifetime); later executions only bind
+        its constants."""
+        kernel = self._kernels.get(key, _MISSING)
+        if kernel is _MISSING:
+            codes = _node_kernels(plan)
+            code = codes.get(key, _MISSING)
+            if code is _MISSING:
+                code = codes[key] = generate()
+            kernel = (
+                None if code is None
+                else code.bind(self._binds, self._functions)
+            )
+            self._kernels[key] = kernel
+        return kernel
+
+    def _predicate(self, plan: Plan,
+                   conjuncts: Sequence[ast.Expr]) -> Optional[PredicateKernel]:
+        """Fused predicate kernel over *plan*'s *conjuncts*; ``None`` for
+        an empty list.  Raises :class:`NotVectorizable` when any
+        conjunct resists — the caller then bridges the whole operator so
+        *all* conjuncts run on the row path in original order."""
         if not conjuncts:
             return None
-        key = tuple(id(c) for c in conjuncts)
-        kernel = self._pred_cache.get(key, _MISSING)
-        if kernel is _MISSING:
-            kernel = self._kernels.predicate(conjuncts)
-            self._pred_cache[key] = kernel
+        kernel = self._kernel(
+            plan, tuple(map(id, conjuncts)),
+            lambda: self._compiler.predicate(conjuncts),
+        )
         if kernel is None:
             raise NotVectorizable("predicate")
         return kernel
 
-    def _value(self, expr: ast.Expr) -> ValueKernel:
-        kernel = self._value_cache.get(id(expr), _MISSING)
-        if kernel is _MISSING:
-            kernel = self._kernels.values(expr)
-            self._value_cache[id(expr)] = kernel
+    def _value(self, plan: Plan, expr: ast.Expr) -> ValueKernel:
+        """Value kernel for one of *plan*'s expressions."""
+        kernel = self._kernel(
+            plan, id(expr), lambda: self._compiler.values(expr)
+        )
         if kernel is None:
             raise NotVectorizable("expression")
         return kernel
@@ -364,7 +395,7 @@ class _VectorRun:
     # -- leaves ---------------------------------------------------------------
 
     def _vec_tablescan(self, plan: TableScan, binding: Row) -> Iterator[Batch]:
-        kernel = self._predicate(plan.conjuncts)
+        kernel = self._predicate(plan, plan.conjuncts)
         data = self._storage.get(plan.table_name)
         return self._scan_batches(plan, kernel, data, binding)
 
@@ -417,12 +448,12 @@ class _VectorRun:
     # -- index access -----------------------------------------------------------
 
     def _index_access(self, plan: IndexScan) -> "_IndexAccess":
-        eq = [self._value(expr) for _column, expr in plan.eq_binds]
+        eq = [self._value(plan, expr) for _column, expr in plan.eq_binds]
         bound = (
             None if plan.range_bind is None
-            else self._value(plan.range_bind[2])
+            else self._value(plan, plan.range_bind[2])
         )
-        post = self._predicate(plan.post_conjuncts)
+        post = self._predicate(plan, plan.post_conjuncts)
         data = self._storage.get(plan.table_name)
         return _IndexAccess(plan, data, eq, bound, post, self._columns)
 
@@ -463,7 +494,7 @@ class _VectorRun:
         ):
             raise NotVectorizable("nested loops other than an index probe")
         access = self._index_access(right)
-        join = self._predicate(plan.conjuncts)
+        join = self._predicate(plan, plan.conjuncts)
         return self._nlj_batches(plan, access, join, binding)
 
     def _nlj_batches(self, plan: NestedLoopJoin, access: "_IndexAccess",
@@ -573,7 +604,7 @@ class _VectorRun:
     # -- filters and projection -------------------------------------------------
 
     def _vec_filter(self, plan: Filter, binding: Row) -> Iterator[Batch]:
-        kernel = self._predicate(plan.conjuncts)
+        kernel = self._predicate(plan, plan.conjuncts)
         extra = sum(
             self._catalog.function_cost(node.name)
             for c in plan.conjuncts
@@ -608,7 +639,7 @@ class _VectorRun:
             if isinstance(expr, ast.ColumnRef) and expr.qualifier is not None:
                 sources.append(f"{expr.qualifier}.{expr.name}")
             else:
-                sources.append(self._value(expr))
+                sources.append(self._value(plan, expr))
         return self._project_batches(plan, sources, binding)
 
     def _project_batches(self, plan: Project, sources: list,
@@ -635,9 +666,9 @@ class _VectorRun:
     # -- hash join --------------------------------------------------------------
 
     def _vec_hashjoin(self, plan: HashJoin, binding: Row) -> Iterator[Batch]:
-        left_keys = [self._value(k) for k in plan.left_keys]
-        right_keys = [self._value(k) for k in plan.right_keys]
-        residual = self._predicate(plan.residual_conjuncts)
+        left_keys = [self._value(plan, k) for k in plan.left_keys]
+        right_keys = [self._value(plan, k) for k in plan.right_keys]
+        residual = self._predicate(plan, plan.residual_conjuncts)
         return self._hashjoin_batches(
             plan, left_keys, right_keys, residual, binding
         )
@@ -875,17 +906,21 @@ class _VectorRun:
     def _vec_groupby(self, plan: GroupBy, binding: Row) -> Iterator[Batch]:
         if plan.grouping_sets is not None:
             raise NotVectorizable("grouping sets")
-        key_kernels = [self._value(g) for g in plan.group_exprs]
+        key_kernels = [self._value(plan, g) for g in plan.group_exprs]
         specs = []
         for call in plan.aggregates:
             is_star = bool(call.args) and isinstance(call.args[0], ast.Star)
-            kernel = None if is_star else self._value(call.args[0])
+            kernel = None if is_star else self._value(plan, call.args[0])
             specs.append((call, kernel, is_star))
-        return self._groupby_batches(plan, key_kernels, specs, binding)
+        codes = _node_kernels(plan)
+        names = codes.get("aggregates")
+        if names is None:
+            names = codes["aggregates"] = [agg_key(c) for c in plan.aggregates]
+        return self._groupby_batches(plan, key_kernels, specs, names, binding)
 
     def _groupby_batches(self, plan: GroupBy,
                          key_kernels: list[ValueKernel], specs: list,
-                         binding: Row) -> Iterator[Batch]:
+                         names: list[str], binding: Row) -> Iterator[Batch]:
         cm = self._cm
         charge = self.stats.charge
         per_row = cm.agg_row * max(len(specs), 1)
@@ -918,10 +953,8 @@ class _VectorRun:
         if not groups and not plan.group_exprs:
             # scalar aggregate over empty input: one all-NULL group
             row: Row = dict(binding)
-            for call, _kernel, _star in specs:
-                row[agg_key(call)] = Accumulator(
-                    call.name, call.distinct
-                ).result()
+            for (call, _kernel, _star), name in zip(specs, names):
+                row[name] = Accumulator(call.name, call.distinct).result()
             charge(cm.pipeline_row)
             yield Batch.from_rows([row])
             return
@@ -929,8 +962,10 @@ class _VectorRun:
         out_rows: list[Row] = []
         for rep_batch, rep_index, states in groups.values():
             row = rep_batch.row_view(rep_index, binding)
-            for (call, _kernel, star), state in zip(specs, states):
-                row[agg_key(call)] = _agg_finish(call.name, state)
+            for (call, _kernel, _star), name, state in zip(
+                specs, names, states
+            ):
+                row[name] = _agg_finish(call.name, state)
             charge(cm.pipeline_row)
             out_rows.append(row)
             if len(out_rows) >= BATCH_SIZE:
@@ -1050,7 +1085,7 @@ class _VectorRun:
                 yield batch.gather(keep)
 
     def _vec_sort(self, plan: Sort, binding: Row) -> Iterator[Batch]:
-        kernels = [self._value(item.expr) for item in plan.order_by]
+        kernels = [self._value(plan, item.expr) for item in plan.order_by]
         return self._sort_batches(plan, kernels, binding)
 
     def _sort_batches(self, plan: Sort, kernels: list[ValueKernel],
@@ -1061,14 +1096,17 @@ class _VectorRun:
         self.stats.charge(cm.sort_cost(n))
         indices = list(range(n))
         # successive stable sorts, least-significant key first — the same
-        # passes the row engine makes, so tie order is identical
+        # passes the row engine makes, so tie order is identical.  A key
+        # is the value itself, or ``(is NULL, value)`` when the column
+        # holds a NULL: NULLs sort last ascending and, reversed, first
+        # descending, as ``reference._SortKey`` orders them
         for kernel, item in reversed(list(zip(kernels, plan.order_by))):
             column = kernel.evaluate(big, range(n), binding)
-            descending = item.descending
-            indices.sort(
-                key=lambda i, c=column, d=descending: _sort_key(c[i], d),
-                reverse=descending,
-            )
+            if None in column:
+                key = lambda i, c=column: ((v := c[i]) is None, v)  # noqa: E731
+            else:
+                key = column.__getitem__
+            indices.sort(key=key, reverse=item.descending)
         for start in range(0, n, BATCH_SIZE):
             yield big.gather(indices[start:start + BATCH_SIZE])
 
@@ -1150,6 +1188,17 @@ def _join_keys(columns: list[list]) -> Sequence:
                 if value is None:
                     keys[i] = None
     return keys
+
+
+def _node_kernels(plan: Plan) -> dict:
+    """The kernel code generated for *plan*'s own expressions, kept on
+    the node: code objects, column keys and constant sources only —
+    nothing a particular execution bound."""
+    codes = getattr(plan, _KERNELS_ATTR, None)
+    if codes is None:
+        codes = {}
+        setattr(plan, _KERNELS_ATTR, codes)
+    return codes
 
 
 def _plan_columns(plan: Plan) -> Optional[frozenset[str]]:

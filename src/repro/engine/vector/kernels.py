@@ -6,11 +6,17 @@ vector engine instead generates Python *source* for a loop over a batch:
 a filter's conjuncts fuse into a single ``for`` body of local-variable
 loads and inline three-valued-logic tests, applied to whole batches.
 
-Bind values and non-inline literals enter a kernel as default-argument
-constants (``k0=_gk0``), so the generated source depends only on the
-expression tree.  Its code object is therefore compiled once per
-distinct source per process (a bounded cache keyed on the source
-text); an execution only runs ``exec`` on it with its own constants.
+Bind values, registered functions and non-inline literals enter a
+kernel as trailing positional arguments (``k0``, ``k1``, ...), so the
+generated function depends only on the expression tree.  Generation
+therefore yields a :class:`KernelCode` — the function, the batch columns
+it reads, and where each constant comes from (a value fixed by the
+expression, a bind variable, or a function name) — which the vector
+executor keeps on the plan node and reuses on every execution: an
+execution only resolves the constants that depend on the call
+(:meth:`KernelCode.bind`).  Code objects are additionally shared across
+plans by a bounded cache keyed on the source text, so distinct plans of
+the same shape compile once per process.
 
 Two source modes exist per expression:
 
@@ -42,6 +48,7 @@ from typing import Callable, Optional, Sequence
 
 from ...errors import ExecutionError
 from ..expressions import FunctionRegistry, agg_key, window_key
+from .batch import ConstColumn
 
 from ...sql import ast
 
@@ -82,36 +89,42 @@ def _between_value(v, lo, hi, negated):
 #: kernels of a full default plan cache (128 cursors) several times over
 @functools.lru_cache(maxsize=1024)
 def _compile(source: str) -> CodeType:
-    """Code object for one kernel's source, shared by every execution
-    that generates the same source (binds are ``exec``-time consts)."""
+    """Code object for one kernel's source, shared by every plan that
+    generates the same source (constants are call arguments)."""
     return compile(source, "<vector-kernel>", "exec")
 
 
+#: constant sources of a :class:`KernelCode` besides a fixed value
+_BIND = "bind"
+_FUNCTION = "function"
+
+
 class _Kernel:
-    """A compiled batch kernel: generated function + column bindings."""
+    """A batch kernel ready to run: generated function, the batch
+    columns it reads, and its constants' values for this execution."""
 
-    __slots__ = ("fn", "keys")
+    __slots__ = ("fn", "keys", "consts")
 
-    def __init__(self, fn: Callable, keys: list[str]):
+    def __init__(self, fn: Callable, keys: list[str], consts: tuple):
         self.fn = fn
         self.keys = keys
+        self.consts = consts
 
-    def _columns(self, batch, binding: Optional[dict]):
-        from .batch import ConstColumn
-
+    def _args(self, batch, binding: Optional[dict]) -> list:
         columns = batch.columns
-        resolved = []
+        args = []
         for key in self.keys:
             column = columns.get(key)
             if column is None:
                 value = binding.get(key) if binding else None
                 column = ConstColumn(value)
-            resolved.append(column)
-        return resolved
+            args.append(column)
+        args.extend(self.consts)
+        return args
 
-    def _run(self, indices, append, columns):
+    def _run(self, indices, append, args):
         try:
-            self.fn(indices, append, *columns)
+            self.fn(indices, append, *args)
         except ZeroDivisionError:
             raise ExecutionError("division by zero") from None
         except TypeError as exc:
@@ -127,7 +140,7 @@ class PredicateKernel(_Kernel):
         self, batch, indices: Sequence[int], binding: Optional[dict] = None
     ) -> list[int]:
         out: list[int] = []
-        self._run(indices, out.append, self._columns(batch, binding))
+        self._run(indices, out.append, self._args(batch, binding))
         return out
 
 
@@ -138,28 +151,63 @@ class ValueKernel(_Kernel):
         self, batch, indices: Sequence[int], binding: Optional[dict] = None
     ) -> list:
         out: list = []
-        self._run(indices, out.append, self._columns(batch, binding))
+        self._run(indices, out.append, self._args(batch, binding))
         return out
 
 
-class KernelCompiler:
-    """Generates and compiles batch kernels for expression trees."""
+class KernelCode:
+    """The plan-invariant half of a kernel: the generated function, the
+    batch columns it reads, and per constant its source — ``(None,
+    value)`` fixed by the expression, ``("bind", key)`` or
+    ``("function", name)``.  Holds no per-call value."""
 
-    def __init__(
-        self,
-        functions: FunctionRegistry,
-        binds: Optional[dict] = None,
-    ):
-        self._functions = functions
-        self._binds = binds or {}
+    __slots__ = ("fn", "keys", "consts", "kernel_cls", "fixed")
+
+    def __init__(self, fn: Callable, keys: list[str], consts: tuple,
+                 kernel_cls: type):
+        self.fn = fn
+        self.keys = keys
+        self.consts = consts
+        self.kernel_cls = kernel_cls
+        #: the kernel itself when no constant depends on the call
+        self.fixed: Optional[_Kernel] = None
+        if all(kind is None for kind, _source in consts):
+            self.fixed = kernel_cls(
+                fn, keys, tuple(value for _kind, value in consts)
+            )
+
+    def bind(self, binds: Optional[dict],
+             functions: FunctionRegistry) -> _Kernel:
+        """The kernel for one execution with *binds*."""
+        if self.fixed is not None:
+            return self.fixed
+        values = []
+        for kind, source in self.consts:
+            if kind is None:
+                values.append(source)
+            elif kind == _BIND:
+                if not binds or source not in binds:
+                    raise ExecutionError(
+                        f"no value bound for parameter :{source}"
+                    )
+                values.append(binds[source])
+            else:
+                values.append(functions.get(source))
+        return self.kernel_cls(self.fn, self.keys, tuple(values))
+
+
+class KernelCompiler:
+    """Generates batch-kernel code for expression trees."""
+
+    def __init__(self) -> None:
         # per-kernel state, reset by _generate
         self._columns: dict[str, str] = {}
-        self._consts: list[tuple[str, object]] = []
+        self._consts: list[tuple[Optional[str], object]] = []
         self._temps = 0
 
     # -- public API -------------------------------------------------------------
 
-    def predicate(self, conjuncts: Sequence[ast.Expr]) -> Optional[PredicateKernel]:
+    def predicate(self, conjuncts: Sequence[ast.Expr]) -> Optional[KernelCode]:
         """Fuse *conjuncts* into one selection kernel, or ``None`` when
         any conjunct is not vectorizable (callers then evaluate **all**
         conjuncts on the row path to preserve evaluation order)."""
@@ -172,7 +220,7 @@ class KernelCompiler:
         except NotVectorizable:
             return None
 
-    def values(self, expr: ast.Expr) -> Optional[ValueKernel]:
+    def values(self, expr: ast.Expr) -> Optional[KernelCode]:
         """A value-mode kernel for *expr*, or ``None`` when not
         vectorizable."""
         try:
@@ -184,7 +232,7 @@ class KernelCompiler:
 
     # -- code generation --------------------------------------------------------
 
-    def _generate(self, fragments, emit, kernel_cls):
+    def _generate(self, fragments, emit, kernel_cls) -> KernelCode:
         self._columns = {}
         self._consts = []
         self._temps = 0
@@ -192,15 +240,16 @@ class KernelCompiler:
         column_keys = list(self._columns)
         params = ["idx", "append"]
         params.extend(self._columns[key] for key in column_keys)
+        params.extend(f"k{i}" for i in range(len(self._consts)))
         namespace: dict[str, object] = {}
-        for name, value in self._consts:
-            params.append(f"{name}=_g{name}")
-            namespace[f"_g{name}"] = value
         code = _compile(emit(params, body_fragments))
         exec(code, namespace)  # noqa: S102 - generated from our own AST
         # popped, not read: a function left in its own globals is a
         # reference cycle only the cyclic GC can free
-        return kernel_cls(namespace.pop("_kernel"), column_keys)
+        return KernelCode(
+            namespace.pop("_kernel"), column_keys, tuple(self._consts),
+            kernel_cls,
+        )
 
     @staticmethod
     def _emit_predicate(params: list[str], truths: list[str]) -> str:
@@ -233,9 +282,11 @@ class KernelCompiler:
             self._columns[key] = name
         return f"{name}[i]"
 
-    def _const(self, value: object) -> str:
+    def _const(self, value: object, kind: Optional[str] = None) -> str:
+        """A constant argument: *value* itself, or with *kind* the bind
+        key / function name it is resolved from per execution."""
         name = f"k{len(self._consts)}"
-        self._consts.append((name, value))
+        self._consts.append((kind, value))
         return name
 
     # -- value mode -------------------------------------------------------------
@@ -259,12 +310,7 @@ class KernelCompiler:
         return self._const(expr.value)
 
     def _value_bindparam(self, expr: ast.BindParam) -> str:
-        try:
-            return self._const(self._binds[expr.key])
-        except KeyError:
-            raise ExecutionError(
-                f"no value bound for parameter :{expr.key}"
-            ) from None
+        return self._const(expr.key, _BIND)
 
     def _value_binop(self, expr: ast.BinOp) -> str:
         a, b = self._value(expr.left), self._value(expr.right)
@@ -379,8 +425,7 @@ class KernelCompiler:
             return self._column(agg_key(expr))
         if expr.name == "GROUPING":
             raise NotVectorizable("GROUPING")
-        fn = self._functions.get(expr.name)
-        f = self._const(fn)
+        f = self._const(expr.name, _FUNCTION)
         args = ", ".join(self._value(arg) for arg in expr.args)
         return f"({f}({args}))"
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..errors import ReproError
+from ..configstamp import Stamped
 from .cancel import CancelToken, activate, current_token
 from .faults import (
     FaultInjector,
@@ -57,7 +58,7 @@ def _env_fallback() -> bool:
 
 
 @dataclass
-class ResilienceConfig:
+class ResilienceConfig(Stamped):
     """Knobs of the resilience layer (one per safeguard)."""
 
     #: degradation ladder: recover from optimizer errors by retrying at

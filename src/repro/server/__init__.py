@@ -4,9 +4,10 @@ Turns the embedded engine into a small server: an HTTP/JSON protocol
 (stdlib ``ThreadingHTTPServer``) over a transport-independent app core,
 with per-connection sessions, prepared statements and paged fetch,
 snapshot reads (statement-level read consistency over the storage
-layer's copy-on-write table versions), and admission control in front
-of a bounded worker pool.  ``python -m repro serve`` is the CLI entry
-point; see DESIGN.md §13 for the architecture.
+layer's copy-on-write table versions), and admission control that
+bounds how many statements execute at once.  Each statement runs on the
+thread of the connection that sent it.  ``python -m repro serve`` is the
+CLI entry point; see DESIGN.md §13 for the architecture.
 """
 
 from __future__ import annotations

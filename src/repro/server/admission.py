@@ -1,9 +1,11 @@
 """Admission control for the query-serving front end.
 
-The server multiplexes every session's statements over one bounded
-worker pool; without admission control a burst of clients turns into an
-unbounded backlog where every statement times out.  The controller
-enforces two limits *before* work is enqueued:
+A statement runs on the thread that received it, but at most
+``ServerConfig.workers`` statements execute at once: each holds one
+permit of the controller's execution-slot semaphore while it runs.
+Without admission control a burst of clients turns into an unbounded
+backlog where every statement times out.  The controller enforces two
+limits *before* a statement is queued:
 
 * a **global** cap on pending statements (running + queued) of
   ``workers + max_queue_depth`` — beyond it new statements are refused
@@ -12,11 +14,12 @@ enforces two limits *before* work is enqueued:
 * a **per-session** queue-depth cap, so one chatty session cannot
   monopolise the global queue.
 
-A third limit applies at dequeue time: a statement whose deadline burned
-while it sat in the queue fails with
-:class:`~repro.errors.StatementTimeout` (HTTP 408) without ever touching
-the optimizer — its deadline would have fired mid-parse anyway, and the
-worker slot is better spent on a statement that can still finish.
+A third limit applies while a statement waits for a slot: the wait is
+bounded by the time left before its deadline, and a statement whose
+deadline burns first fails with :class:`~repro.errors.StatementTimeout`
+(HTTP 408) without ever touching the optimizer — its deadline would
+have fired mid-parse anyway, and the slot is better spent on a
+statement that can still finish.
 
 Layering with the optimizer's own :class:`~repro.resilience.SearchGovernor`:
 admission bounds *how many* statements are in flight; the governor (fed
@@ -29,6 +32,7 @@ both ends.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,9 +45,10 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8390
-    #: worker threads executing statements (all sessions multiplexed)
+    #: statements executing at once, across all sessions (each runs on
+    #: the thread that received it, holding one execution slot)
     workers: int = 4
-    #: admitted-but-not-running statements allowed beyond the workers
+    #: admitted statements allowed to wait beyond the executing ones
     max_queue_depth: int = 32
     #: pending statements allowed per session (running + queued)
     session_queue_depth: int = 8
@@ -72,19 +77,26 @@ class AdmissionController:
     ``admit()`` reserves a pending slot or raises; every reservation is
     paired with exactly one ``finish()`` (the server's drain loop calls
     it in a ``finally``), so a statement that fails, times out, or is
-    cancelled can never leak its slot."""
+    cancelled can never leak its slot.  Between the two, ``start()``
+    claims one of the ``workers`` execution slots."""
 
     def __init__(self, config: ServerConfig) -> None:
+        if config.workers < 1:
+            raise ValueError("ServerConfig.workers must be at least 1")
         self._config = config
         self._lock = threading.Lock()
+        #: notified when the last pending statement finishes
+        self._idle = threading.Condition(self._lock)
+        #: one permit per statement allowed to execute at once
+        self._slots = threading.BoundedSemaphore(config.workers)
         #: statements admitted and not yet finished (queued + running)
         self.pending = 0
-        #: statements currently occupying a worker
+        #: statements currently holding an execution slot
         self.running = 0
         self.admitted_total = 0
         self.rejected_global = 0
         self.rejected_session = 0
-        #: admitted statements whose deadline burned in the queue
+        #: admitted statements whose deadline burned before they got a slot
         self.queue_timeouts = 0
 
     def admit(self, session_pending: int) -> None:
@@ -106,22 +118,46 @@ class AdmissionController:
             self.pending += 1
             self.admitted_total += 1
 
-    def start(self) -> None:
-        """An admitted statement began occupying a worker."""
+    def start(self, deadline: Optional[float] = None) -> bool:
+        """Claim an execution slot for an admitted statement, waiting no
+        longer than its *deadline* (a ``time.monotonic()`` instant; None
+        waits as long as it takes).  False — counted as a queue timeout
+        — when the deadline passes first."""
+        if deadline is None:
+            self._slots.acquire()
+        else:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._slots.acquire(timeout=remaining):
+                with self._lock:
+                    self.queue_timeouts += 1
+                return False
         with self._lock:
             self.running += 1
+        return True
 
     def finish(self, was_running: bool = True) -> None:
         """An admitted statement left the system (done, failed,
-        cancelled, or expired in the queue)."""
+        cancelled, or expired before it got a slot)."""
         with self._lock:
             self.pending -= 1
             if was_running:
                 self.running -= 1
+            if not self.pending:
+                self._idle.notify_all()
+        if was_running:
+            self._slots.release()
 
-    def record_queue_timeout(self) -> None:
-        with self._lock:
-            self.queue_timeouts += 1
+    def wait_idle(self, timeout: Optional[float] = None) -> bool:
+        """Block until no statement is pending (or *timeout* seconds
+        pass); True when idle."""
+        end = None if timeout is None else time.monotonic() + timeout
+        with self._lock:  # the condition's own lock
+            while self.pending:
+                remaining = None if end is None else end - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._idle.wait(remaining)
+            return True
 
     def snapshot(self) -> dict:
         with self._lock:

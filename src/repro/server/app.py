@@ -9,20 +9,26 @@ directly with plain dict/list payloads.  It owns
   cache — two clients preparing the same text share one cursor);
 * the :class:`~repro.server.sessions.SessionRegistry` plus an idle
   reaper thread;
-* a bounded ``ThreadPoolExecutor`` the per-session statement queues
-  drain into, behind the
-  :class:`~repro.server.admission.AdmissionController`.
+* the :class:`~repro.server.admission.AdmissionController`, whose
+  execution-slot semaphore bounds how many statements run at once.
 
 Concurrency model
 -----------------
 
-Every statement is admitted (or refused with 429 semantics), appended
-to its session's FIFO queue, and executed by the worker pool; a session
-occupies at most one worker at a time, so sessions progress fairly and
-a session's statements are totally ordered.  The submitting thread
-blocks on the statement's future — the HTTP layer therefore behaves
-like a synchronous database protocol while the pool bounds actual
-parallelism.
+A statement runs on the thread that submitted it — for HTTP, the
+connection's handler thread — so a cached execution pays no thread
+handoff.  Every statement is admitted (or refused with 429 semantics)
+and appended to its session's FIFO queue.  A submitter that finds its
+session idle drains the queue itself: it runs its own statement and
+then any that other connections queued on the same session meanwhile;
+a submitter that finds the session busy blocks on its statement's
+future until the draining thread has run it.  So a session runs at
+most one statement at a time and its statements are totally ordered.
+Before each statement the draining thread claims one of the
+``ServerConfig.workers`` execution slots, so no more than that many
+statements execute at once however many connections are open — the
+HTTP layer behaves like a synchronous database protocol while the
+slots bound actual parallelism.
 
 Reads run against a :meth:`~repro.database.Database.read_snapshot`
 pinned when the statement starts: concurrent DDL / INSERT / ANALYZE
@@ -31,7 +37,8 @@ either none or all of a batch — never a torn intermediate — and the
 plan cache validates dependencies against the pinned versions.
 
 Each statement carries a :class:`~repro.resilience.CancelToken` whose
-deadline is armed at *admission* (queue wait burns it); the token is
+deadline is armed at *admission* (waiting for the session or for a slot
+burns it); the token is
 threaded through the optimizer's search governor and the executor's
 loops, so a deadline or a cancel request aborts the statement wherever
 it is, with a typed error, without poisoning the session's queue or the
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Optional
 
 from ..database import Database, OptimizerConfig
@@ -76,10 +83,6 @@ class ReproServer:
         self.config = config or ServerConfig()
         self.admission = AdmissionController(self.config)
         self.sessions = SessionRegistry(self.config.idle_timeout)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-worker",
-        )
         self._closed = threading.Event()
         self._draining = threading.Event()
         self._reaper: Optional[threading.Thread] = None
@@ -100,9 +103,10 @@ class ReproServer:
         self._reaper.start()
 
     def close(self) -> None:
-        """Stop the reaper and the worker pool (pending work finishes)."""
+        """Stop the reaper, refuse new statements, and wait until every
+        admitted statement has finished."""
         self._closed.set()
-        self._pool.shutdown(wait=True)
+        self.admission.wait_idle()
 
     def shutdown(self, grace: Optional[float] = None) -> dict:
         """Graceful shutdown: refuse new work, drain or cancel, persist.
@@ -117,9 +121,8 @@ class ReproServer:
         3. statements still pending when the grace window closes get
            their cancel tokens fired — they unwind with
            ``StatementCancelled`` at the next cooperative check, so the
-           pool shutdown below cannot hang on a long optimization;
-        4. stop the reaper and the worker pool (waits for the unwound
-           workers);
+           wait below cannot hang on a long optimization;
+        4. stop the reaper and wait for the unwound statements;
         5. if the database is durable, checkpoint it and close the WAL —
            a restart then recovers from the checkpoint alone.
 
@@ -129,11 +132,7 @@ class ReproServer:
         self._draining.set()
         if grace is None:
             grace = self.config.shutdown_grace
-        deadline = time.monotonic() + max(grace, 0.0)
-        while self.admission.snapshot()["pending"] > 0:
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.02)
+        self.admission.wait_idle(max(grace, 0.0))
         cancelled = self._cancel_all_sessions()
         self.close()
         checkpointed = False
@@ -364,10 +363,13 @@ class ReproServer:
         timeout: Optional[float],
         fn: Callable[[CancelToken], dict],
     ) -> dict:
-        """Admit, enqueue, and wait for one unit of session work."""
-        future = self._submit(session, timeout, fn)
+        """Admit and enqueue one unit of session work, run it on this
+        thread when the session is idle, and return its payload."""
+        future, drain = self._submit(session, timeout, fn)
         started = time.perf_counter()
         try:
+            if drain:
+                self._drain(session)
             payload = future.result()
         finally:
             metrics = self.database.metrics
@@ -386,7 +388,9 @@ class ReproServer:
         session: ServerSession,
         timeout: Optional[float],
         fn: Callable[[CancelToken], dict],
-    ) -> Future:
+    ) -> tuple[Future, bool]:
+        """Queue one statement; returns its future and whether the
+        caller found the session idle and must drain it."""
         if timeout is None:
             timeout = session.statement_timeout
         token = CancelToken()
@@ -398,7 +402,7 @@ class ReproServer:
             deadline = time.monotonic() + timeout
         future: Future = Future()
         item = WorkItem(fn, token, future, deadline)
-        if self._draining.is_set():
+        if self._draining.is_set() or self._closed.is_set():
             raise ServerShuttingDown(
                 "server is shutting down; no new statements accepted"
             )
@@ -407,15 +411,14 @@ class ReproServer:
                 raise SessionNotFound(f"no session {session.id!r}")
             self.admission.admit(session.pending())
             session.queue.append(item)
-            schedule = not session.draining
-            if schedule:
+            drain = not session.draining
+            if drain:
                 session.draining = True
-        if schedule:
-            self._pool.submit(self._drain, session)
-        return future
+        return future, drain
 
     def _drain(self, session: ServerSession) -> None:
-        """Run the session's queued statements in order on this worker.
+        """Run the session's queued statements in order on this thread,
+        each holding an execution slot.
 
         One failure — cancellation, timeout, optimizer error — resolves
         only its own future; the loop continues with the next item, so a
@@ -426,15 +429,14 @@ class ReproServer:
                     session.draining = False
                     return
                 item = session.queue.popleft()
-            self.admission.start()
+                # the cancel target from here on, slot wait included
+                session.active_token = item.token
+            running = self.admission.start(item.deadline)
             try:
-                if item.deadline is not None and time.monotonic() >= item.deadline:
-                    self.admission.record_queue_timeout()
+                if not running:
                     raise StatementTimeout(
                         "statement deadline expired while queued"
                     )
-                with session.lock:
-                    session.active_token = item.token
                 item.future.set_result(item.fn(item.token))
             except BaseException as exc:  # noqa: B036 - resolved via future  # staticcheck: ignore[error.swallow] nothing swallowed: set_exception re-raises in the waiter
                 self._count("server.statement_errors")
@@ -442,7 +444,7 @@ class ReproServer:
             finally:
                 with session.lock:
                     session.active_token = None
-                self.admission.finish()
+                self.admission.finish(running)
 
     def _do_ddl(self, sql: str) -> dict:
         self.database.execute_ddl(sql)

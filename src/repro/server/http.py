@@ -1,9 +1,19 @@
 """HTTP/JSON transport over :class:`~repro.server.app.ReproServer`.
 
-Stdlib only: a ``ThreadingHTTPServer`` whose handler threads call the
-app synchronously — the app's admission controller and worker pool
-bound actual concurrency, so an unbounded number of keep-alive
-connections cannot overload the optimizer.
+Stdlib only: a ``ThreadingHTTPServer`` gives each connection a handler
+thread, and that thread runs the connection's statements itself — the
+app's admission controller bounds how many execute at once, so an
+unbounded number of keep-alive connections cannot overload the
+optimizer.  The handler reads the request line and header lines with
+``readline`` into a small case-insensitive mapping (:class:`Headers`)
+rather than through the stdlib's ``email`` header parser, keeping the
+stdlib's statuses and limits: 414 for a request line over
+:data:`MAX_LINE` bytes, 400 for bad request-line syntax, 505 for
+HTTP/2 and above, 431 for a header line over :data:`MAX_LINE` bytes or
+more than :data:`MAX_HEADERS` header lines, and 400 (closing the
+connection) for a malformed ``Content-Length``.  Every reply goes out in
+one write on a ``TCP_NODELAY`` socket, and an idle keep-alive
+connection is closed after :attr:`RequestHandler.timeout` seconds.
 
 Routes (all request/response bodies are JSON)::
 
@@ -41,9 +51,12 @@ anything else                   500
 
 from __future__ import annotations
 
+import email.utils
 import json
 import signal
 import threading
+import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -62,6 +75,32 @@ from .app import ReproServer
 #: request bodies beyond this are refused (a denial-of-service guard,
 #: not a data limit — bulk loads should batch their /insert calls)
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: longest request line or header line, in bytes (the stdlib's limit)
+MAX_LINE = 65536
+#: most header lines one request may carry (the stdlib's limit)
+MAX_HEADERS = 100
+
+#: reply bodies: JSON, anything non-JSON (dates, decimals) as its str()
+_ENCODER = json.JSONEncoder(default=str)
+
+#: (second, its RFC 7231 date): every reply within a second shares one
+_date: tuple[int, str] = (-1, "")
+
+
+class Headers(dict):
+    """Request header fields by case-insensitive name (stored lower
+    case); a repeated field keeps its first value."""
+
+    __slots__ = ()
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and dict.__contains__(self, name.lower())
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        return dict.get(self, name.lower(), default)
 
 
 def _status_for(exc: BaseException) -> int:
@@ -87,9 +126,6 @@ class ReproHTTPServer(ThreadingHTTPServer):
     """One listening socket over one :class:`ReproServer` app."""
 
     daemon_threads = True
-    # a client holding a keep-alive connection must not pin a handler
-    # thread forever between requests
-    timeout = 60
 
     def __init__(self, app: ReproServer, host: str, port: int) -> None:
         self.app = app
@@ -102,6 +138,10 @@ class RequestHandler(BaseHTTPRequestHandler):
     #: TCP_NODELAY on every accepted socket; together with the one-write
     #: reply no segment ever waits on a delayed ACK
     disable_nagle_algorithm = True
+    #: seconds an accepted socket may sit idle: a client holding a
+    #: keep-alive connection must not pin its handler thread forever
+    #: between requests (a read past it closes the connection)
+    timeout = 60
 
     #: set True (e.g. by the CLI's --verbose) to restore stderr request
     #: logging; quiet by default so the load bench isn't I/O bound
@@ -111,13 +151,130 @@ class RequestHandler(BaseHTTPRequestHandler):
         if self.verbose:
             super().log_message(format, *args)
 
+    def date_time_string(self, timestamp: Optional[float] = None) -> str:
+        """The ``Date`` header value, formatted once per second."""
+        global _date
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        now = int(time.time())
+        second, text = _date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            _date = (now, text)
+        return text
+
+    # -- request reading ---------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and read the header block.
+
+        The stdlib's request-line rules (400 for bad syntax or version,
+        505 for HTTP/2 and above, ``//`` paths collapsed, HTTP/1.0
+        closes unless it asks for keep-alive), with the header lines
+        read by :meth:`_read_headers` instead of the stdlib's ``email``
+        parser.  False once an error reply has been sent."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad request version ({version!r})",
+                )
+                return False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})"
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({command!r})",
+                )
+                return False
+        if path.startswith("//"):
+            # a leading // reads as a scheme-relative URI to clients
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[Headers]:
+        """Header lines up to the blank line that ends them; None after
+        a 431 reply (a line over MAX_LINE bytes, or more than
+        MAX_HEADERS lines)."""
+        headers = Headers()
+        readline = self.rfile.readline
+        #: the field a folded continuation line extends (first values only)
+        name: Optional[str] = None
+        for _ in range(MAX_HEADERS + 1):
+            line = readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                )
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            text = line.decode("iso-8859-1")
+            if text[0] in " \t":
+                if name is not None:
+                    dict.__setitem__(
+                        headers, name, f"{headers[name]} {text.strip()}"
+                    )
+                continue
+            field, sep, value = text.partition(":")
+            name = field.strip().lower()
+            if not sep or name in headers:
+                name = None
+                continue
+            dict.__setitem__(headers, name, value.strip())
+        self.send_error(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers"
+        )
+        return None
+
     # -- plumbing ----------------------------------------------------------
 
     def _reply(self, status: int, payload: dict) -> None:
         """Status line, headers and body in one write (one ``sendall``):
         a body written after the headers would wait on the client's
         delayed ACK (Nagle) on every keep-alive reply."""
-        body = json.dumps(payload, default=str).encode("utf-8")
+        body = _ENCODER.encode(payload).encode("utf-8")
         self.log_request(status)
         head = (
             f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
@@ -125,7 +282,8 @@ class RequestHandler(BaseHTTPRequestHandler):
             f"Date: {self.date_time_string()}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
         )
         self.wfile.write(head.encode("latin-1") + body)
 
@@ -135,8 +293,14 @@ class RequestHandler(BaseHTTPRequestHandler):
         })
 
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        declared = self.headers.get("content-length")
+        length = _content_length(declared)
+        if length is None or length > MAX_BODY_BYTES:
+            # the body stays unread, so the next request line could not
+            # be found: answer, then close the connection
+            self.close_connection = True
+            if length is None:
+                raise ReproError(f"invalid Content-Length {declared!r}")
             raise ReproError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         if length == 0:
             return {}
@@ -249,6 +413,29 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
+
+
+def _version_number(version: str) -> Optional[tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` token; None when malformed."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+def _content_length(declared: Optional[str]) -> Optional[int]:
+    """The body length a ``Content-Length`` value declares (0 when
+    absent); None when it is not a non-negative decimal integer."""
+    if not declared:
+        return 0
+    text = declared.strip()
+    if not (text.isascii() and text.isdigit()):
+        return None
+    return int(text)
 
 
 def _require(body: dict, key: str) -> str:

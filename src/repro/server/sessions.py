@@ -4,10 +4,11 @@ the per-session statement queue.
 A :class:`ServerSession` is the server's unit of isolation and
 fairness:
 
-* each session's statements run **in order** — the drain loop claims at
-  most one worker per session at a time, so a session can never starve
-  the pool by itself, and a statement sees every effect of the ones the
-  same session submitted before it;
+* each session's statements run **in order** — one thread at a time
+  drains a session's queue, holding at most one execution slot on its
+  behalf, so a session can never take every slot by itself, and a
+  statement sees every effect of the ones the same session submitted
+  before it;
 * prepared statements and open fetch cursors are session-scoped; they
   disappear with the session (disconnect or idle reap);
 * the session records its in-flight statement's
@@ -39,7 +40,8 @@ _cursor_ids = itertools.count(1)
 
 
 class WorkItem:
-    """One admitted statement waiting for (or occupying) a worker."""
+    """One admitted statement waiting for (or holding) an execution
+    slot."""
 
     __slots__ = ("fn", "token", "future", "deadline")
 
@@ -50,7 +52,8 @@ class WorkItem:
         future: "Future[dict]",
         deadline: Optional[float],
     ) -> None:
-        #: callable(token) -> JSON-able payload, run on the worker
+        #: callable(token) -> JSON-able payload, run by the thread
+        #: draining the session
         self.fn = fn
         self.token = token
         self.future = future
@@ -92,7 +95,7 @@ class ServerSession:
         #: guards queue / draining / active_token / cursors / statements
         self.lock = threading.Lock()
         self.queue: deque[WorkItem] = deque()
-        #: True while a drain loop owns a worker on this session's behalf
+        #: True while a thread is draining this session's queue
         self.draining = False
         #: token of the statement currently executing (cancel target)
         self.active_token: Optional[CancelToken] = None

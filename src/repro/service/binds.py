@@ -16,7 +16,8 @@ cursor, and that our service layer uses to re-optimize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..catalog.statistics import ColumnStats, StatisticsRegistry, TableStats
@@ -74,23 +75,35 @@ class BindPredicate:
     alias_tables: dict
     #: selectivity estimated from the peeked bind values at optimize time
     peeked_selectivity: float
+    #: a second clone, re-peeked with each call's binds under _lock (the
+    #: estimator reads peeked values off the tree), and its placeholders
+    _probe: ast.Expr = field(init=False, repr=False, compare=False)
+    _placeholders: list = field(init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._probe = self.conjunct.clone()
+        self._placeholders = [
+            node for node in self._probe.walk()
+            if isinstance(node, ast.BindParam)
+        ]
 
     def selectivity_for(self, binds: Mapping,
                         statistics: StatisticsRegistry) -> Optional[float]:
         """Selectivity this predicate would get with *binds* peeked, or
         None when a required bind value is missing."""
-        probe = self.conjunct.clone()
-        complete = True
-        for node in probe.walk():
-            if isinstance(node, ast.BindParam):
-                if node.key in binds:
-                    node.peeked = binds[node.key]
-                else:
-                    complete = False
-        if not complete:
-            return None
-        return conjunct_selectivity(probe, _AliasStats(self.alias_tables,
-                                                       statistics))
+        placeholders = self._placeholders
+        for node in placeholders:
+            if node.key not in binds:
+                return None
+        with self._lock:
+            for node in placeholders:
+                node.peeked = binds[node.key]
+            return conjunct_selectivity(
+                self._probe, _AliasStats(self.alias_tables, statistics)
+            )
 
 
 def extract_bind_profile(

@@ -20,6 +20,7 @@ import threading
 import time
 from typing import Callable, Optional
 
+from .. import configstamp
 from ..database import Database, OptimizerConfig, QueryResult, ReadSnapshot
 from ..errors import ReproError, StatementCancelled, StatementTimeout
 from ..qtree.binds import apply_peeks, referenced_tables
@@ -31,6 +32,9 @@ from .plan_cache import CacheEntry, PlanCache, normalize_sql
 #: re-optimize when the selectivity ratio between the peeked plan and the
 #: current binds exceeds this factor
 DEFAULT_REOPTIMIZE_THRESHOLD = 8.0
+
+#: distinct config objects whose cache-key text the service remembers
+_CONFIG_KEYS = 32
 
 
 class PreparedStatement:
@@ -147,6 +151,8 @@ class QueryService:
         # stored entry instead of thundering-herd re-optimizing
         self._gate_lock = threading.Lock()
         self._gates: dict[tuple, threading.Lock] = {}
+        #: id(config) -> (config, configstamp epoch, repr(config))
+        self._config_keys: dict[int, tuple] = {}
         # surface the plan-cache accounting in Database.snapshot();
         # collectors run at snapshot time only, so this costs nothing
         # on the serving path
@@ -273,8 +279,18 @@ class QueryService:
         )
 
     def _key(self, sql: str, config: Optional[OptimizerConfig]) -> tuple:
+        """Normalized text plus the effective config's ``repr``, which is
+        remembered per config object until a config write advances the
+        :func:`~repro.configstamp.epoch`."""
         effective = config or self.database.config
-        return (normalize_sql(sql), repr(effective))
+        epoch = configstamp.epoch()
+        known = self._config_keys.get(id(effective))
+        if known is None or known[0] is not effective or known[1] != epoch:
+            if len(self._config_keys) >= _CONFIG_KEYS:
+                self._config_keys.clear()
+            known = (effective, epoch, repr(effective))
+            self._config_keys[id(effective)] = known
+        return (normalize_sql(sql), known[2])
 
     def _cursor_for(
         self,

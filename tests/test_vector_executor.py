@@ -125,6 +125,48 @@ def test_null_heavy_equivalence(sql, executor):
     assert got.exec_stats.executor_mode == executor
 
 
+def _sort_db() -> Database:
+    """NULLs, ties, and an int/float mix in every sortable column."""
+    db = Database()
+    db.execute_ddl(
+        "CREATE TABLE s (id INT PRIMARY KEY, k INT, f FLOAT, g VARCHAR(5))"
+    )
+    db.insert("s", [
+        {
+            "id": i,
+            "k": None if i % 7 == 0 else i % 4,
+            "f": None if i % 9 == 4 else (1, 1.0, 2.5, 2, -0.5)[i % 5],
+            "g": None if i % 6 == 1 else "abc"[i % 3],
+        }
+        for i in range(60)
+    ])
+    db.analyze()
+    return db
+
+
+SORT_QUERIES = [
+    "SELECT id, k FROM s ORDER BY k",  # NULLs last ascending
+    "SELECT id, k FROM s ORDER BY k DESC",  # NULLs first descending
+    "SELECT id FROM s ORDER BY id DESC",  # no NULL: the plain-value key
+    "SELECT id, f FROM s ORDER BY f",  # 1 and 1.0 tie, in scan order
+    "SELECT id, f, k FROM s ORDER BY f DESC, k",
+    "SELECT id, g, f, k FROM s ORDER BY g, f DESC, k",
+    "SELECT k, COUNT(*) FROM s GROUP BY k ORDER BY k DESC",
+]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("sql", SORT_QUERIES, ids=range(len(SORT_QUERIES)))
+def test_sort_order_matches_reference(sql, executor):
+    """Batch sort keys order exactly as the reference's ``_SortKey``:
+    NULLs last ascending and first descending, ties in input order."""
+    db = _sort_db()
+    got = db.execute(sql, executor=executor)
+    assert got.exec_stats.executor_mode == executor
+    assert got.rows == db.reference_execute(sql)
+    assert "executor.vector_fallbacks" not in db.snapshot()["counters"]
+
+
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_empty_input_batches(executor):
     db = Database()
