@@ -39,7 +39,6 @@ from .engine.expressions import FunctionRegistry
 from .engine.reference import ReferenceEvaluator
 from .engine.tables import Storage, StorageSnapshot
 from .engine.vector import VectorExecutor
-from .engine.vector.parallel import worker_count
 from .errors import (
     CatalogError,
     DurabilityError,
@@ -73,10 +72,10 @@ from .resilience import (
 from .sql import ast, parse_query, parse_statement
 
 #: execution engines selectable per database / per statement; "vector"
-#: (the default) runs the batch engine, "parallel" adds morsel-parallel
-#: scans/joins/aggregation, "row" is the classic row-at-a-time escape
-#: hatch (also reachable via the ``REPRO_EXEC`` environment variable)
-EXECUTOR_MODES = ("row", "vector", "parallel")
+#: (the default) runs the batch engine, "row" is the classic
+#: row-at-a-time escape hatch (also reachable via the ``REPRO_EXEC``
+#: environment variable)
+EXECUTOR_MODES = ("row", "vector")
 
 
 def _default_executor_mode() -> str:
@@ -298,11 +297,9 @@ class Database:
         #: 10053-style optimizer trace; None (the default) emits nothing.
         #: Arm with :meth:`tracing` or assign a Tracer directly.
         self.tracer: Optional[Tracer] = None
-        #: default execution engine ("row" / "vector" / "parallel"),
+        #: default execution engine ("row" / "vector"),
         #: overridable per statement via ``execute(..., executor=...)``
         self.executor_mode: str = _default_executor_mode()
-        #: worker count for "parallel" mode morsel dispatch
-        self.executor_workers: int = worker_count()
         #: durable-storage manager; None = pure in-memory instance (the
         #: default, and the zero-cost path every mutation is guarded on)
         self.durability: Optional[DurabilityManager] = None
@@ -837,7 +834,7 @@ class Database:
         it and abort with a typed error when it trips.  *analyze*
         profiles every operator (invocations + wall-clock self-time) for
         :meth:`QueryResult.explain_analyze`.  *executor* picks the
-        engine for this statement ("row" / "vector" / "parallel");
+        engine for this statement ("row" / "vector");
         the default is the database's :attr:`executor_mode`.  *storage*
         substitutes a pinned :class:`~repro.engine.tables.StorageSnapshot`
         (from :meth:`read_snapshot`) for the live tables, giving the run
@@ -873,8 +870,7 @@ class Database:
                     optimized.plan, binds=binds, token=token, analyze=analyze
                 )
             else:
-                workers = self.executor_workers if mode == "parallel" else 0
-                vector = VectorExecutor(row_executor, workers=workers)
+                vector = VectorExecutor(row_executor)
                 try:
                     rows, stats = vector.execute(
                         optimized.plan,

@@ -65,7 +65,7 @@ class ExecStats:
     rows_out: int = 0
     subquery_invocations: int = 0
     subquery_cache_hits: int = 0
-    #: which engine produced this run: "row", "vector", or "parallel"
+    #: which engine produced this run: "row" or "vector"
     executor_mode: str = "row"
     operator_rows: dict[str, int] = field(default_factory=dict)
     #: actual rows emitted per plan node (keyed by id(plan)); consumed by

@@ -12,11 +12,7 @@ The package implements the columnar half of the engine:
   operators for the hot path (table scan, filter, projection, hash join,
   hash aggregate, distinct, sort, set operations) that bridge every other
   operator to the untouched row engine, sharing one
-  :class:`~repro.engine.executor.ExecStats`;
-* :mod:`~repro.engine.vector.parallel` — morsel-driven parallelism: table
-  scans split into morsels dispatched to a worker pool, with
-  partition-parallel hash-join key extraction and partial-aggregate
-  merging.
+  :class:`~repro.engine.executor.ExecStats`.
 
 Work-unit accounting is charge-for-charge identical to the row executor
 (same :class:`~repro.optimizer.costmodel.CostModel` constants per row),

@@ -117,7 +117,7 @@ from .kernels import (
     ValueKernel,
 )
 
-#: rows per batch / per scan morsel
+#: rows per batch
 BATCH_SIZE = 1024
 
 #: plan-node class names the batch engine executes natively; everything
@@ -157,19 +157,14 @@ def _columnar(data: TableLike) -> dict[str, list]:
 
 
 class VectorExecutor:
-    """Executes plans batch-at-a-time (optionally morsel-parallel).
+    """Executes plans batch-at-a-time.
 
     Wraps a row :class:`~repro.engine.executor.Executor` — the bridge
     target, fallback path, and TIS subquery machinery all come from it.
-    ``workers > 0`` arms the morsel pool: scans partition into morsels
-    dispatched to a thread pool, hash-join build key extraction runs
-    partition-parallel, and aggregates accumulate per-batch partials
-    merged in batch order.
     """
 
-    def __init__(self, executor: Executor, workers: int = 0):
+    def __init__(self, executor: Executor):
         self._executor = executor
-        self._workers = workers
 
     def execute(
         self,
@@ -181,23 +176,13 @@ class VectorExecutor:
     ) -> tuple[list[tuple], ExecStats]:
         """Run *plan* to completion; returns output tuples and stats."""
         stats = ExecStats()
-        stats.executor_mode = "parallel" if self._workers else "vector"
-        pool = None
-        if self._workers:
-            from .parallel import MorselPool
-
-            pool = MorselPool(self._workers)
+        stats.executor_mode = "vector"
         out: list[tuple] = []
-        try:
-            run = _VectorRun(
-                self._executor, stats, binds, token, analyze, pool,
-                _plan_columns(plan),
-            )
-            for batch in run.batches(plan, binding or {}):
-                out.extend(batch.output_tuples())
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        run = _VectorRun(
+            self._executor, stats, binds, token, analyze, _plan_columns(plan)
+        )
+        for batch in run.batches(plan, binding or {}):
+            out.extend(batch.output_tuples())
         stats.rows_out = len(out)
         return out, stats
 
@@ -259,7 +244,7 @@ class _VectorRun:
 
     def __init__(self, executor: Executor, stats: ExecStats,
                  binds: Optional[dict], token: Optional[CancelToken],
-                 analyze: bool, pool, columns: Optional[frozenset[str]]):
+                 analyze: bool, columns: Optional[frozenset[str]]):
         self._executor = executor
         self._storage = executor._storage
         self._catalog = executor._catalog
@@ -267,7 +252,6 @@ class _VectorRun:
         self._token = token
         self._analyze = analyze
         self.stats = stats
-        self._pool = pool
         #: the table columns scans and index fetches carry (None: all)
         self._columns = columns
         #: the row engine half of the hybrid (bridging + TIS subqueries)
@@ -417,31 +401,19 @@ class _VectorRun:
             if wanted is None or prefix + name in wanted
         }
         whole = Batch(columns, n)
-        morsels = [
-            (start, min(start + BATCH_SIZE, n))
-            for start in range(0, n, BATCH_SIZE)
-        ]
-
-        if kernel is None:
-            def build(start: int, end: int) -> Batch:
-                if start == 0 and end == n:
-                    return whole
-                return Batch(
+        for start in range(0, n, BATCH_SIZE):
+            end = min(start + BATCH_SIZE, n)
+            if kernel is not None:
+                out = whole.gather(
+                    kernel.select(whole, range(start, end), binding)
+                )
+            elif end - start == n:
+                out = whole
+            else:
+                out = Batch(
                     {key: col[start:end] for key, col in columns.items()},
                     end - start,
                 )
-        else:
-            def build(start: int, end: int) -> Batch:
-                return whole.gather(
-                    kernel.select(whole, range(start, end), binding)
-                )
-
-        pool = self._pool
-        if pool is not None and len(morsels) > 1:
-            results = pool.map_ordered(build, morsels)
-        else:
-            results = (build(start, end) for start, end in morsels)
-        for (start, end), out in zip(morsels, results):
             charge((end - start) * per_row)
             yield out
 
@@ -728,27 +700,9 @@ class _VectorRun:
 
     def _key_columns(self, batch: Batch, kernels: list[ValueKernel],
                      binding: Row) -> list[list]:
-        """Evaluate join-key kernels over a whole batch (partition-
-        parallel over morsel-sized index ranges when pooled)."""
-        n = batch.length
-        pool = self._pool
-        if pool is None or n <= BATCH_SIZE or not kernels:
-            indices = range(n)
-            return [k.evaluate(batch, indices, binding) for k in kernels]
-        ranges = [
-            (start, min(start + BATCH_SIZE, n))
-            for start in range(0, n, BATCH_SIZE)
-        ]
-
-        def extract(start: int, end: int) -> list[list]:
-            indices = range(start, end)
-            return [k.evaluate(batch, indices, binding) for k in kernels]
-
-        columns: list[list] = [[] for _ in kernels]
-        for part in pool.map_ordered(extract, ranges):
-            for j, chunk in enumerate(part):
-                columns[j].extend(chunk)
-        return columns
+        """Evaluate join-key kernels over a whole batch."""
+        indices = range(batch.length)
+        return [k.evaluate(batch, indices, binding) for k in kernels]
 
     def _hj_inner(self, plan: HashJoin, lbatch: Batch,
                   buckets: list, build: Batch,
@@ -927,28 +881,9 @@ class _VectorRun:
         #: key -> [rep_batch, rep_index, states]; insertion-ordered, so
         #: output order matches the row engine's first-seen order
         groups: dict[object, list] = {}
-        pool = self._pool
-        child = self.batches(plan.child, binding)
-        if pool is not None:
-            batches = list(child)
-
-            def partial(batch: Batch) -> dict[object, list]:
-                part: dict[object, list] = {}
-                self._accumulate(
-                    batch, part, key_kernels, specs, binding
-                )
-                return part
-
-            partials = pool.map_ordered(
-                partial, [(b,) for b in batches]
-            )
-            for batch, part in zip(batches, partials):
-                charge(per_row * batch.length)
-                self._merge_partial(groups, part, specs)
-        else:
-            for batch in child:
-                charge(per_row * batch.length)
-                self._accumulate(batch, groups, key_kernels, specs, binding)
+        for batch in self.batches(plan.child, binding):
+            charge(per_row * batch.length)
+            self._accumulate(batch, groups, key_kernels, specs, binding)
 
         if not groups and not plan.group_exprs:
             # scalar aggregate over empty input: one all-NULL group
@@ -977,8 +912,7 @@ class _VectorRun:
     def _accumulate(self, batch: Batch, groups: dict,
                     key_kernels: list[ValueKernel], specs: list,
                     binding: Row) -> None:
-        """Accumulate one batch into *groups* (pure w.r.t. run state, so
-        morsel workers can build partials concurrently).
+        """Accumulate one batch into *groups*.
 
         The batch's row indices are grouped by key first; then each
         group's states are updated once, from its index list — in row
@@ -1041,27 +975,6 @@ class _VectorRun:
                     if value is not None and value not in seen:
                         seen.add(value)
                         append(value)
-
-    @staticmethod
-    def _merge_partial(groups: dict, part: dict, specs: list) -> None:
-        """Merge one batch's partial aggregates (driver thread, in batch
-        order, so value order — and float summation — matches the
-        sequential path)."""
-        for key, group in part.items():
-            into = groups.get(key)
-            if into is None:
-                groups[key] = group
-                continue
-            for state, pstate in zip(into[2], group[2]):
-                state[0] += pstate[0]
-                seen = state[2]
-                if seen is None:
-                    state[1].extend(pstate[1])
-                    continue
-                for value in pstate[1]:
-                    if value not in seen:
-                        seen.add(value)
-                        state[1].append(value)
 
     # -- distinct / sort / set operations ----------------------------------------
 

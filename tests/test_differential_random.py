@@ -104,13 +104,12 @@ class TestDifferential:
             rows_off = Counter(db.execute(query.sql, off).rows)
             assert rows_on == rows_off, query.name
 
-    @pytest.mark.parametrize("executor", ["row", "vector", "parallel"])
+    @pytest.mark.parametrize("executor", ["row", "vector"])
     def test_random_queries_match_reference_per_executor(
         self, apps, generated, executor
     ):
         # the same random battery through each execution engine; any
-        # miscompare is the batch engine (or its morsel scheduling)
-        # changing semantics relative to the reference evaluator
+        # miscompare is the batch engine changing semantics relative to the reference evaluator
         db, _schema = apps
         mismatches = []
         for query in generated:

@@ -1,8 +1,7 @@
 """Plan executor vs reference evaluator on a battery of query shapes.
 
 Every query is optimized (heuristic + cost-based transformations all on),
-executed through each engine (row-at-a-time, vectorized, morsel-parallel),
-and compared against the reference evaluator as an unordered multiset
+executed through each engine (row-at-a-time, vectorized), and compared against the reference evaluator as an unordered multiset
 (ordered where the query has a top-level ORDER BY).
 """
 
@@ -12,7 +11,7 @@ import pytest
 
 from repro import OptimizerConfig
 
-EXECUTORS = ("row", "vector", "parallel")
+EXECUTORS = ("row", "vector")
 
 QUERIES = [
     # scans and filters
@@ -219,11 +218,9 @@ def test_executors_agree_on_plan_and_work(tiny_db, sql):
     plans = {r.plan.describe() for r in runs.values()}
     assert len(plans) == 1, "executor choice must not affect the plan"
     base = runs["row"]
-    for mode in ("vector", "parallel"):
-        assert Counter(runs[mode].rows) == Counter(base.rows)
-        assert math.isclose(
-            runs[mode].exec_stats.work_units,
-            base.exec_stats.work_units,
-            rel_tol=1e-9,
-        ), (mode, runs[mode].exec_stats.work_units,
-            base.exec_stats.work_units)
+    assert Counter(runs["vector"].rows) == Counter(base.rows)
+    assert math.isclose(
+        runs["vector"].exec_stats.work_units,
+        base.exec_stats.work_units,
+        rel_tol=1e-9,
+    ), (runs["vector"].exec_stats.work_units, base.exec_stats.work_units)

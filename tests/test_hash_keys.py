@@ -2,7 +2,7 @@
 
 Hash-join build and probe and hash-aggregate grouping iterate whole key
 columns instead of building a key tuple per row.  Every case below runs
-on the row, vector and morsel-parallel engines and must agree with the
+on the row and vector engines and must agree with the
 reference evaluator: the engines return the same rows in the same order
 (float aggregates compared exactly), the same ``operator_rows``, and
 work units equal up to float summation order.
@@ -29,7 +29,7 @@ from repro.optimizer.plans import HashJoin, Project, TableScan
 from repro.resilience.cancel import CancelToken
 from repro.sql import ast
 
-EXECUTORS = ("row", "vector", "parallel")
+EXECUTORS = ("row", "vector")
 
 #: left rows: more than two batches
 N_LEFT = 2500
@@ -228,15 +228,14 @@ def _run_everywhere(db: Database, optimized) -> dict:
         mode: db.execute_plan(optimized, executor=mode) for mode in EXECUTORS
     }
     row = results["row"]
-    for mode in ("vector", "parallel"):
-        got = results[mode]
-        assert got.exec_stats.executor_mode == mode
-        assert got.rows == row.rows, f"{mode}: rows or their order differ"
-        assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
-        assert math.isclose(
-            got.exec_stats.work_units, row.exec_stats.work_units,
-            rel_tol=1e-9,
-        ), (mode, got.exec_stats.work_units, row.exec_stats.work_units)
+    got = results["vector"]
+    assert got.exec_stats.executor_mode == "vector"
+    assert got.rows == row.rows, "rows or their order differ"
+    assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
+    assert math.isclose(
+        got.exec_stats.work_units, row.exec_stats.work_units,
+        rel_tol=1e-9,
+    ), (got.exec_stats.work_units, row.exec_stats.work_units)
     return results
 
 

@@ -3,8 +3,8 @@
 The vector engine runs INNER/LEFT nested loops over a parameterised
 index scan natively: a whole left batch probes the index, candidates are
 fetched by row id, and the scan's post-filter and the join conjuncts run
-as fused kernels.  Every shape below must agree with the row engine, the
-morsel-parallel engine and the reference evaluator on rows (in order),
+as fused kernels.  Every shape below must agree with the row engine and
+the reference evaluator on rows (in order),
 work units (up to float summation order), ``operator_rows`` and EXPLAIN
 ANALYZE actuals.
 """
@@ -25,7 +25,7 @@ from repro.optimizer.plans import IndexScan, NestedLoopJoin
 from repro.resilience import inject
 from repro.resilience.cancel import CancelToken
 
-EXECUTORS = ("row", "vector", "parallel")
+EXECUTORS = ("row", "vector")
 
 #: left rows: more than one batch, so probes span batches
 N_OUTER = 1400
@@ -131,16 +131,15 @@ def _assert_engines_agree(db: Database, optimized, expected: Counter):
     }
     row = results["row"]
     assert Counter(row.rows) == expected
-    for mode in ("vector", "parallel"):
-        got = results[mode]
-        assert got.exec_stats.executor_mode == mode
-        assert got.rows == row.rows, f"{mode}: rows or their order differ"
-        assert got.exec_stats.rows_out == row.exec_stats.rows_out
-        assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
-        assert math.isclose(
-            got.exec_stats.work_units, row.exec_stats.work_units,
-            rel_tol=1e-9,
-        ), (mode, got.exec_stats.work_units, row.exec_stats.work_units)
+    got = results["vector"]
+    assert got.exec_stats.executor_mode == "vector"
+    assert got.rows == row.rows, "rows or their order differ"
+    assert got.exec_stats.rows_out == row.exec_stats.rows_out
+    assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
+    assert math.isclose(
+        got.exec_stats.work_units, row.exec_stats.work_units,
+        rel_tol=1e-9,
+    ), (got.exec_stats.work_units, row.exec_stats.work_units)
     return results
 
 
@@ -231,7 +230,6 @@ def test_explain_analyze_identical_across_engines(db):
         for mode in EXECUTORS
     }
     assert renders["vector"] == renders["row"]
-    assert renders["parallel"] == renders["row"]
     assert f"invocations={N_OUTER})" in renders["row"]
 
 

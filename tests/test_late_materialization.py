@@ -23,7 +23,7 @@ from repro.engine.vector.executor import _VectorRun
 from repro.optimizer.plans import Plan, Project, TableScan
 from repro.sql import ast
 
-EXECUTORS = ("row", "vector", "parallel")
+EXECUTORS = ("row", "vector")
 
 
 def _build_db() -> Database:
@@ -159,14 +159,13 @@ def test_pruned_scans_give_identical_answers(db, shape):
     assert expected
     row = results["row"]
     assert Counter(row.rows) == expected
-    for mode in ("vector", "parallel"):
-        got = results[mode]
-        assert got.rows == row.rows, mode
-        assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
-        assert math.isclose(
-            got.exec_stats.work_units, row.exec_stats.work_units,
-            rel_tol=1e-9,
-        )
+    got = results["vector"]
+    assert got.rows == row.rows
+    assert got.exec_stats.operator_rows == row.exec_stats.operator_rows
+    assert math.isclose(
+        got.exec_stats.work_units, row.exec_stats.work_units,
+        rel_tol=1e-9,
+    )
 
 
 def test_scans_carry_only_referenced_columns(db, monkeypatch):

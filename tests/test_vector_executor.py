@@ -29,7 +29,7 @@ from repro.resilience.faults import BATCH_OPERATORS, injection_points
 
 from .conftest import build_tiny_db
 
-EXECUTORS = ("row", "vector", "parallel")
+EXECUTORS = ("row", "vector")
 
 RESILIENT = OptimizerConfig(resilience=ResilienceConfig(fallback=True))
 
@@ -191,7 +191,6 @@ def test_work_unit_parity_null_heavy():
             for mode in EXECUTORS
         }
         assert math.isclose(units["row"], units["vector"], rel_tol=1e-9)
-        assert math.isclose(units["row"], units["parallel"], rel_tol=1e-9)
 
 
 def test_work_unit_parity_early_stop_consumers(tiny_db):
@@ -217,15 +216,12 @@ def test_work_unit_parity_early_stop_consumers(tiny_db):
         assert math.isclose(
             units["row"], units["vector"], rel_tol=1e-9
         ), (sql, units)
-        assert math.isclose(
-            units["row"], units["parallel"], rel_tol=1e-9
-        ), (sql, units)
 
 
-# -- morsel parallelism beyond one batch -------------------------------------
+# -- beyond one batch ---------------------------------------------------------
 
 
-def test_parallel_multi_morsel_scan_join_aggregate():
+def test_multi_batch_scan_join_aggregate():
     db = Database()
     db.execute_ddl("CREATE TABLE big (k INT, v INT)")
     db.insert(
@@ -243,17 +239,15 @@ def test_parallel_multi_morsel_scan_join_aggregate():
         "SELECT k, COUNT(*), SUM(v) FROM big GROUP BY k",
         "SELECT b.k, d.name FROM big b, dim d WHERE b.k = d.k AND b.v = 3",
     ]:
-        expected = Counter(db.reference_execute(sql))
-        seq = db.execute(sql, executor="vector")
-        par = db.execute(sql, executor="parallel")
-        assert Counter(seq.rows) == expected, sql
-        assert Counter(par.rows) == expected, sql
-        assert par.rows == seq.rows, f"{sql}: morsel order leaked"
+        row = db.execute(sql, executor="row")
+        vec = db.execute(sql, executor="vector")
+        assert vec.rows == row.rows, f"{sql}: rows or their order differ"
+        assert Counter(vec.rows) == Counter(db.reference_execute(sql)), sql
         assert math.isclose(
-            seq.exec_stats.work_units,
-            par.exec_stats.work_units,
+            vec.exec_stats.work_units,
+            row.exec_stats.work_units,
             rel_tol=1e-9,
-        )
+        ), sql
 
 
 # -- EXPLAIN ANALYZE golden parity (actual rows, not batch counts) -----------
@@ -281,7 +275,6 @@ def test_explain_analyze_reports_rows_not_batches(tiny_db):
     # golden contract: deterministic EXPLAIN ANALYZE output (actual rows,
     # invocations, Q-error) is identical whichever engine ran the plan
     assert renders["vector"] == renders["row"]
-    assert renders["parallel"] == renders["row"]
     assert "actual" in renders["vector"]
 
 
@@ -298,13 +291,12 @@ def test_explain_analyze_actual_rows_match_row_engine(tiny_db):
             }
         # node ids differ between runs, so compare the sorted profiles
         row = per_mode["row"]
-        for mode in ("vector", "parallel"):
-            assert sorted(per_mode[mode]["rows"].values()) == sorted(
-                row["rows"].values()
-            )
-            assert sorted(per_mode[mode]["invocations"].values()) == sorted(
-                row["invocations"].values()
-            )
+        assert sorted(per_mode["vector"]["rows"].values()) == sorted(
+            row["rows"].values()
+        )
+        assert sorted(per_mode["vector"]["invocations"].values()) == sorted(
+            row["invocations"].values()
+        )
     # the index probe ran once per outer row under every engine
     optimized = tiny_db.optimize(_INDEX_NL_SQL)
     renders = {
@@ -314,7 +306,6 @@ def test_explain_analyze_actual_rows_match_row_engine(tiny_db):
         for mode in EXECUTORS
     }
     assert renders["vector"] == renders["row"]
-    assert renders["parallel"] == renders["row"]
     assert "NESTED LOOPS INNER" in renders["row"]
     assert "INDEX SCAN employees e via employees_pk" in renders["row"]
 
@@ -415,8 +406,10 @@ def test_cancellation_checked_at_batch_boundaries(tiny_db):
 def test_repro_exec_env_selects_mode(monkeypatch):
     monkeypatch.setenv("REPRO_EXEC", "row")
     assert Database().executor_mode == "row"
+    # the removed morsel-parallel mode is rejected with a typed error
     monkeypatch.setenv("REPRO_EXEC", "parallel")
-    assert Database().executor_mode == "parallel"
+    with pytest.raises(ExecutionError, match="row/vector"):
+        Database()
     monkeypatch.delenv("REPRO_EXEC")
     assert Database().executor_mode == "vector"
     monkeypatch.setenv("REPRO_EXEC", "turbo")
@@ -425,5 +418,6 @@ def test_repro_exec_env_selects_mode(monkeypatch):
 
 
 def test_unknown_statement_executor_rejected(tiny_db):
-    with pytest.raises(ExecutionError):
-        tiny_db.execute("SELECT emp_id FROM employees", executor="turbo")
+    for executor in ("turbo", "parallel"):
+        with pytest.raises(ExecutionError):
+            tiny_db.execute("SELECT emp_id FROM employees", executor=executor)
