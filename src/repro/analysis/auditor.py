@@ -27,7 +27,7 @@ from ..optimizer.plans import Plan
 from ..qtree.blocks import QueryNode
 from .diagnostics import Diagnostic, DiagnosticReport, attributed
 from .plan_verifier import PlanVerifier
-from .qtree_verifier import QTreeVerifier
+from .qtree_verifier import QTreeVerifier, expr_texts, verify_expr_caches
 
 
 class TransformationAuditor:
@@ -64,6 +64,48 @@ class TransformationAuditor:
     ) -> list[Diagnostic]:
         """Verify a physical plan with the same attribution."""
         return self._record(self._plans.verify(plan), transformation, state)
+
+    def audit_expr_caches(
+        self, root: QueryNode, transformation: Optional[str] = None
+    ) -> list[Diagnostic]:
+        """Every expression's kept facts and text against a fresh walk and
+        render (``qtree.expr-cache``)."""
+        return self._record(verify_expr_caches(root), transformation, None)
+
+    def snapshot_shared(self, root: QueryNode) -> list[tuple[str, str]]:
+        """The rendering :meth:`audit_shared` compares with: taken of the
+        tree a CBQT search copies, before the search."""
+        return expr_texts(root)
+
+    def audit_shared(
+        self,
+        root: QueryNode,
+        snapshot: list[tuple[str, str]],
+        transformation: str,
+        state: tuple[int, ...],
+    ) -> list[Diagnostic]:
+        """After costing *state*: the searched tree, whose expressions
+        each state copy shares, must render as in *snapshot*
+        (``qtree.shared-mutated``)."""
+        diagnostics = []
+        now = expr_texts(root)
+        if now != snapshot:
+            for (block, before), (_name, after) in zip(snapshot, now, strict=False):
+                if before != after:
+                    message = (
+                        f"expression {before!r} of the searched tree now "
+                        f"renders {after!r}"
+                    )
+                    break
+            else:
+                block, message = "", (
+                    f"the searched tree now has {len(now)} expressions, "
+                    f"not {len(snapshot)}"
+                )
+            diagnostics.append(Diagnostic(
+                "qtree.shared-mutated", "error", message, node=block,
+            ))
+        return self._record(diagnostics, transformation, state)
 
     # -- internals ----------------------------------------------------------
 

@@ -40,6 +40,18 @@ This verifier checks the invariants every :class:`QueryBlock` /
     UNION ALL, binary otherwise) and branches agreeing on column count;
 ``qtree.select-shape``
     blocks have a non-empty select list and a sane rownum limit.
+
+Two more rules check the immutable-expression contract of
+:mod:`repro.sql.ast` (the auditor runs them, see
+:class:`~repro.analysis.auditor.TransformationAuditor`):
+
+``qtree.expr-cache``
+    every expression node's kept facts and SQL text equal a fresh walk
+    and render (:func:`verify_expr_caches`);
+``qtree.shared-mutated``
+    costing a CBQT state left the expressions of the tree being searched
+    — which the state's copy shares — rendering exactly as before
+    (:func:`expr_texts`).
 """
 
 from __future__ import annotations
@@ -52,7 +64,7 @@ from ..errors import ReproError
 from ..qtree import exprutil
 from ..qtree.blocks import JOIN_TYPES, FromItem, QueryBlock, QueryNode, SetOpBlock
 from ..sql import ast
-from ..sql.render import render_expr
+from ..sql.render import render_expr, render_expr_uncached
 from .diagnostics import Diagnostic
 
 #: scope chain entry: alias -> visible output columns (None = unknown,
@@ -527,3 +539,67 @@ def _iter_all_nodes(root: QueryNode) -> Iterator[QueryNode]:
         for sub in root.subquery_exprs():
             if isinstance(sub.query, QueryNode):
                 yield from _iter_all_nodes(sub.query)
+
+
+# -- the immutable-expression contract ---------------------------------------
+
+
+def _tree_exprs(root: QueryNode) -> Iterator[tuple[str, ast.Expr]]:
+    """(block name, expression) for every top-level expression of every
+    block and set operation of *root*."""
+    for node in _iter_all_nodes(root):
+        exprs: list[ast.Expr] = []
+        if isinstance(node, QueryBlock):
+            exprs.extend(item.expr for item in node.select_items)
+            exprs.extend(node.all_conjuncts())
+            exprs.extend(node.group_by)
+        elif not isinstance(node, SetOpBlock):
+            continue
+        exprs.extend(o.expr for o in node.order_by)
+        for expr in exprs:
+            yield node.name, expr
+
+
+def expr_texts(root: QueryNode) -> list[tuple[str, str]]:
+    """Every expression of *root* rendered without kept text: a search
+    state that mutates a shared expression in place changes this."""
+    return [(name, render_expr_uncached(expr)) for name, expr in _tree_exprs(root)]
+
+
+def verify_expr_caches(root: QueryNode) -> list[Diagnostic]:
+    """``qtree.expr-cache``: each node's kept facts and text against a
+    fresh walk and render."""
+    diagnostics: list[Diagnostic] = []
+    for name, expr in _tree_exprs(root):
+        for node in expr.walk():
+            problem = _cache_problem(node)
+            if problem:
+                diagnostics.append(Diagnostic(
+                    "qtree.expr-cache", "error",
+                    f"{render_expr_uncached(node)!r}: {problem}", node=name,
+                ))
+    return diagnostics
+
+
+def _cache_problem(node: ast.Expr) -> str:
+    walked = list(node.walk())
+    subqueries = [n for n in walked if isinstance(n, ast.SubqueryExpr)]
+    refs = [n for n in walked if isinstance(n, ast.ColumnRef) and n.qualifier]
+    mutable = any(isinstance(n, (ast.BindParam, ast.SubqueryExpr)) for n in walked)
+    facts = node.facts
+    if not _same_objects(facts.subqueries, subqueries):
+        return "kept subqueries differ from a walk"
+    if not _same_objects(facts.column_refs, refs):
+        return "kept column references differ from a walk"
+    if facts.mutable != mutable:
+        return f"kept mutable={facts.mutable}, a walk finds {mutable}"
+    text = getattr(node, "_sql", None)
+    if text is not None and (subqueries or text != render_expr_uncached(node)):
+        return f"kept text {text!r} is stale"
+    return ""
+
+
+def _same_objects(kept, walked) -> bool:
+    return len(kept) == len(walked) and all(
+        a is b for a, b in zip(kept, walked, strict=True)
+    )

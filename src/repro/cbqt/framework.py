@@ -242,6 +242,7 @@ class CbqtFramework:
         plan = self._physical.optimize(root)
         if auditor is not None:
             auditor.audit_tree(root, "final")
+            auditor.audit_expr_caches(root, "final")
             auditor.audit_plan(plan, "final")
             report.diagnostics = list(auditor.report.diagnostics)
         if self._governor is not None:
@@ -373,7 +374,11 @@ class CbqtFramework:
         config = self.config
         governor = self._governor
         tracer = self._tracer
+        auditor = self._auditor
         best_so_far = [math.inf]
+        # every state's copy shares *root*'s expressions; paranoid mode
+        # checks after each state that none was changed in place
+        shared = auditor.snapshot_shared(root) if auditor is not None else []
 
         def trace_state(
             state: tuple[int, ...],
@@ -432,27 +437,27 @@ class CbqtFramework:
             # the degradation ladder, not this net, handles those.
             # CostBudgetExceeded before OptimizerError (its base class):
             # a budget abort is the §3.4.1 cut-off, not infeasibility.
+            plan: Optional[Plan] = None
             try:
                 candidate = self._apply_state(
                     root.clone(), objects, state, audit=True
                 )
                 plan = self._physical.optimize(candidate, budget)
             except CostBudgetExceeded:
-                if tracer is not None:
-                    trace_state(
-                        state, math.inf, "cost-cutoff",
-                        hits_before, misses_before, memo_before,
-                    )
-                return math.inf
+                prune = "cost-cutoff"
             except (TransformError, OptimizerError):
+                prune = "infeasible"
+            if auditor is not None:
+                auditor.audit_shared(root, shared, transformation_name, state)
+            if plan is None:
                 if tracer is not None:
                     trace_state(
-                        state, math.inf, "infeasible",
+                        state, math.inf, prune,
                         hits_before, misses_before, memo_before,
                     )
                 return math.inf
-            if self._auditor is not None:
-                self._auditor.audit_plan(plan, transformation_name, state)
+            if auditor is not None:
+                auditor.audit_plan(plan, transformation_name, state)
             if plan.cost < best_so_far[0]:
                 best_so_far[0] = plan.cost
             if tracer is not None:

@@ -13,9 +13,11 @@ and a reference to anything outside the block (an outer-correlation
 parameter) is the single extra :attr:`~PredicateAnalysis.outer` bit.
 
 An analysis lives exactly as long as one block optimisation.  Facts are
-keyed by conjunct identity, and expression nodes are mutable objects
-that transformations rewrite on cloned trees, so an analysis must never
-be kept across CBQT states or statements.
+keyed by conjunct identity and the alias bits are the block's own, so an
+analysis must never be kept across CBQT states or statements.  The
+structural part of a walk — the qualified column references and the
+subqueries of a conjunct — is the conjunct's own cached
+:attr:`~repro.sql.ast.Expr.facts`, shared by every state copy.
 """
 
 from __future__ import annotations
@@ -115,17 +117,15 @@ class PredicateAnalysis:
     def _scan(self, expr: ast.Expr) -> tuple[int, bool]:
         """(alias mask incl. ``outer``, contains a subquery) of *expr* —
         :func:`repro.qtree.exprutil.aliases_referenced` and
-        :func:`repro.sql.ast.contains_subquery` in one walk."""
+        :func:`repro.sql.ast.contains_subquery` as bits."""
         bits, outer = self.bits, self.outer
-        mask, has_subquery = 0, False
-        for node in expr.walk():
-            if isinstance(node, ast.ColumnRef):
-                if node.qualifier:
-                    mask |= bits.get(node.qualifier, outer)
-            elif isinstance(node, ast.SubqueryExpr):
-                has_subquery = True
-                if hasattr(node.query, "iter_blocks"):
-                    for ref in self._correlation_refs(node.query):
-                        if ref.qualifier:
-                            mask |= bits.get(ref.qualifier, outer)
-        return mask, has_subquery
+        facts = expr.facts
+        mask = 0
+        for ref in facts.column_refs:
+            mask |= bits.get(ref.qualifier, outer)
+        for sub in facts.subqueries:
+            if hasattr(sub.query, "iter_blocks"):
+                for ref in self._correlation_refs(sub.query):
+                    if ref.qualifier:
+                        mask |= bits.get(ref.qualifier, outer)
+        return mask, bool(facts.subqueries)

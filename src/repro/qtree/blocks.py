@@ -15,7 +15,10 @@ describes for non-commutative joins (§2.1.1, §2.2.3).
 Set operations are :class:`SetOpBlock` nodes whose branches are query
 blocks (or nested set ops).  Both node kinds can appear as a derived-table
 source or subquery body, and both support :meth:`clone` — the deep-copy
-capability §3.1 lists as a framework component.
+capability §3.1 lists as a framework component.  A clone copies every
+block, from-item and list, so a transformation may rewrite them in
+place; it shares each expression that holds no mutable node
+(:func:`repro.sql.ast.shared_copy`), since expressions are immutable.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ class FromItem:
             source,
             self.table,
             self.join_type,
-            [c.clone() for c in self.join_conjuncts],
+            [ast.shared_copy(c) for c in self.join_conjuncts],
         )
 
     @classmethod
@@ -263,13 +266,9 @@ class QueryBlock(QueryNode):
         list (scalar subqueries), in deterministic order."""
         found: list[ast.SubqueryExpr] = []
         for conjunct in self.all_conjuncts():
-            for node in conjunct.walk():
-                if isinstance(node, ast.SubqueryExpr):
-                    found.append(node)
+            found.extend(conjunct.facts.subqueries)
         for item in self.select_items:
-            for node in item.expr.walk():
-                if isinstance(node, ast.SubqueryExpr):
-                    found.append(node)
+            found.extend(item.expr.facts.subqueries)
         return found
 
     def derived_from_items(self) -> list[FromItem]:
@@ -337,14 +336,14 @@ class QueryBlock(QueryNode):
             select_items=[item.clone() for item in self.select_items],
             distinct=self.distinct,
             from_items=[item.clone() for item in self.from_items],
-            where_conjuncts=[c.clone() for c in self.where_conjuncts],
-            group_by=[g.clone() for g in self.group_by],
+            where_conjuncts=[ast.shared_copy(c) for c in self.where_conjuncts],
+            group_by=[ast.shared_copy(g) for g in self.group_by],
             grouping_sets=(
                 [list(s) for s in self.grouping_sets]
                 if self.grouping_sets is not None
                 else None
             ),
-            having_conjuncts=[h.clone() for h in self.having_conjuncts],
+            having_conjuncts=[ast.shared_copy(h) for h in self.having_conjuncts],
             order_by=[o.clone() for o in self.order_by],
             rownum_limit=self.rownum_limit,
         )
@@ -408,12 +407,9 @@ def _scan_expr(
 ) -> None:
     """Append *expr*'s qualified column references and its subquery
     expressions (bodies not entered) to the two lists."""
-    for node in expr.walk():
-        if isinstance(node, ast.ColumnRef):
-            if node.qualifier:
-                refs.append(node)
-        elif isinstance(node, ast.SubqueryExpr):
-            subqueries.append(node)
+    facts = expr.facts
+    refs.extend(facts.column_refs)
+    subqueries.extend(facts.subqueries)
 
 
 def _default_column_name(expr: ast.Expr) -> str:

@@ -1,8 +1,9 @@
 """Expression rewriting utilities used by transformations.
 
-All rewriters return new trees (inputs are never mutated) so that a
-failed transformation attempt on a deep copy cannot corrupt the original
-query tree.
+All rewriters return new trees and never mutate their inputs
+(expressions are immutable, see :mod:`repro.sql.ast`): an unchanged
+subtree comes back as the same object, so only the path from the root to
+a replaced node is rebuilt.
 """
 
 from __future__ import annotations
@@ -14,61 +15,93 @@ from ..sql import ast
 
 def map_expr(expr: ast.Expr, fn: Callable[[ast.Expr], Optional[ast.Expr]]) -> ast.Expr:
     """Rebuild *expr* bottom-up, replacing any node for which *fn* returns
-    a non-None expression.  ``fn`` sees each (already rebuilt) node; it is
-    not applied to subquery bodies."""
+    a non-None expression.  ``fn`` sees each node after its children
+    were mapped; it is not applied to subquery bodies.
+
+    A subtree in which nothing was replaced comes back as the same
+    object, unless it holds a mutable node (a BindParam or a
+    SubqueryExpr, see :mod:`repro.sql.ast`): those are copied, a built
+    subquery body with them."""
     rebuilt = _rebuild_children(expr, fn)
     replacement = fn(rebuilt)
     return replacement if replacement is not None else rebuilt
 
 
+def _same(new: list, old: list) -> bool:
+    return all(a is b for a, b in zip(new, old, strict=True))
+
+
 def _rebuild_children(expr: ast.Expr, fn) -> ast.Expr:
     if isinstance(expr, (ast.ColumnRef, ast.Literal, ast.Star)):
-        return expr.clone()
+        return expr
     if isinstance(expr, ast.BinOp):
-        return ast.BinOp(expr.op, map_expr(expr.left, fn), map_expr(expr.right, fn))
-    if isinstance(expr, ast.And):
-        return ast.And([map_expr(op, fn) for op in expr.operands])
-    if isinstance(expr, ast.Or):
-        return ast.Or([map_expr(op, fn) for op in expr.operands])
+        left, right = map_expr(expr.left, fn), map_expr(expr.right, fn)
+        if left is expr.left and right is expr.right:
+            return expr
+        return ast.BinOp(expr.op, left, right)
+    if isinstance(expr, (ast.And, ast.Or)):
+        operands = [map_expr(op, fn) for op in expr.operands]
+        if _same(operands, expr.operands):
+            return expr
+        return type(expr)(operands)
     if isinstance(expr, ast.Not):
-        return ast.Not(map_expr(expr.operand, fn))
+        operand = map_expr(expr.operand, fn)
+        return expr if operand is expr.operand else ast.Not(operand)
     if isinstance(expr, ast.IsNull):
-        return ast.IsNull(map_expr(expr.operand, fn), expr.negated)
+        operand = map_expr(expr.operand, fn)
+        if operand is expr.operand:
+            return expr
+        return ast.IsNull(operand, expr.negated)
     if isinstance(expr, ast.Between):
-        return ast.Between(
-            map_expr(expr.operand, fn),
-            map_expr(expr.low, fn),
-            map_expr(expr.high, fn),
-            expr.negated,
-        )
+        parts = [map_expr(e, fn) for e in (expr.operand, expr.low, expr.high)]
+        if _same(parts, [expr.operand, expr.low, expr.high]):
+            return expr
+        return ast.Between(*parts, expr.negated)
     if isinstance(expr, ast.Like):
-        return ast.Like(
-            map_expr(expr.operand, fn), map_expr(expr.pattern, fn), expr.negated
-        )
+        operand, pattern = map_expr(expr.operand, fn), map_expr(expr.pattern, fn)
+        if operand is expr.operand and pattern is expr.pattern:
+            return expr
+        return ast.Like(operand, pattern, expr.negated)
     if isinstance(expr, ast.InList):
-        return ast.InList(
-            map_expr(expr.operand, fn),
-            [map_expr(item, fn) for item in expr.items],
-            expr.negated,
-        )
+        operand = map_expr(expr.operand, fn)
+        items = [map_expr(item, fn) for item in expr.items]
+        if operand is expr.operand and _same(items, expr.items):
+            return expr
+        return ast.InList(operand, items, expr.negated)
     if isinstance(expr, ast.RowExpr):
-        return ast.RowExpr([map_expr(item, fn) for item in expr.items])
+        items = [map_expr(item, fn) for item in expr.items]
+        return expr if _same(items, expr.items) else ast.RowExpr(items)
     if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name, [map_expr(arg, fn) for arg in expr.args], expr.distinct
-        )
+        args = [map_expr(arg, fn) for arg in expr.args]
+        if _same(args, expr.args):
+            return expr
+        return ast.FuncCall(expr.name, args, expr.distinct)
     if isinstance(expr, ast.WindowFunc):
+        func = map_expr(expr.func, fn)
+        partition_by = [map_expr(e, fn) for e in expr.partition_by]
+        order_exprs = [map_expr(o.expr, fn) for o in expr.order_by]
+        if (
+            func is expr.func
+            and _same(partition_by, expr.partition_by)
+            and _same(order_exprs, [o.expr for o in expr.order_by])
+        ):
+            return expr
         return ast.WindowFunc(
-            map_expr(expr.func, fn),
-            [map_expr(e, fn) for e in expr.partition_by],
-            [ast.OrderItem(map_expr(o.expr, fn), o.descending) for o in expr.order_by],
-            expr.frame.clone() if expr.frame else None,
+            func,
+            partition_by,
+            [ast.OrderItem(e, o.descending)
+             for e, o in zip(order_exprs, expr.order_by, strict=True)],
+            expr.frame,
         )
     if isinstance(expr, ast.Case):
-        return ast.Case(
-            [(map_expr(c, fn), map_expr(r, fn)) for c, r in expr.whens],
-            map_expr(expr.default, fn) if expr.default is not None else None,
-        )
+        whens = [(map_expr(c, fn), map_expr(r, fn)) for c, r in expr.whens]
+        default = map_expr(expr.default, fn) if expr.default is not None else None
+        if default is expr.default and all(
+            c is old_c and r is old_r
+            for (c, r), (old_c, old_r) in zip(whens, expr.whens, strict=True)
+        ):
+            return expr
+        return ast.Case(whens, default)
     if isinstance(expr, ast.SubqueryExpr):
         query = expr.query.clone() if hasattr(expr.query, "clone") else expr.query
         return ast.SubqueryExpr(
@@ -177,13 +210,12 @@ def substitute_columns_in_node(node, mapping: dict[tuple[str, str], ast.Expr]) -
 def aliases_referenced(expr: ast.Expr) -> set[str]:
     """Alias qualifiers referenced by *expr*, including inside subquery
     bodies (their correlation references)."""
-    result: set[str] = set()
-    for node in expr.walk():
-        if isinstance(node, ast.ColumnRef) and node.qualifier:
-            result.add(node.qualifier)
-        if isinstance(node, ast.SubqueryExpr) and hasattr(node.query, "iter_blocks"):
-            result |= {ref.qualifier for ref in node.query.correlation_refs()
-                       if ref.qualifier}
+    facts = expr.facts
+    result = {ref.qualifier for ref in facts.column_refs}
+    for sub in facts.subqueries:
+        if hasattr(sub.query, "iter_blocks"):
+            result.update(ref.qualifier for ref in sub.query.correlation_refs()
+                          if ref.qualifier)
     return result
 
 
@@ -239,10 +271,19 @@ def _push_not(expr: ast.Expr, negate: bool) -> ast.Expr:
                           expr.negated != negate)
     if isinstance(expr, ast.SubqueryExpr):
         return _normalize_subquery(expr, negate)
-    if isinstance(expr, (ast.InList, ast.Between, ast.Like)) and negate:
-        clone = expr.clone()
-        clone.negated = not clone.negated
-        return clone
+    if isinstance(expr, ast.InList) and negate:
+        return ast.InList(
+            expr.operand.clone(), [i.clone() for i in expr.items], not expr.negated
+        )
+    if isinstance(expr, ast.Between) and negate:
+        return ast.Between(
+            expr.operand.clone(), expr.low.clone(), expr.high.clone(),
+            not expr.negated,
+        )
+    if isinstance(expr, ast.Like) and negate:
+        return ast.Like(
+            expr.operand.clone(), expr.pattern.clone(), not expr.negated
+        )
     if negate:
         return ast.Not(_normalize_sub(expr))
     return _normalize_sub(expr)

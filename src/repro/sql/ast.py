@@ -3,15 +3,45 @@
 Two families of nodes live here:
 
 * **Expressions** (:class:`Expr` subclasses) — shared between the parser
-  output and the semantic query tree (:mod:`repro.qtree`).  Expressions are
-  plain mutable objects with an explicit :meth:`Expr.clone` (deep copy of
-  structure; scalar payloads are shared) because the cost-based
-  transformation framework copies query trees constantly and we want that
-  copy to be cheap and predictable.
-
+  output and the semantic query tree (:mod:`repro.qtree`).
 * **Statements** — the syntactic shape of SELECT queries and the small DDL
-  subset (CREATE TABLE / CREATE INDEX).  Statements are consumed once by
-  the query-tree builder and never mutated, so they do not need clone().
+  subset (CREATE TABLE / CREATE INDEX).  Statements are consumed by the
+  query-tree builder and never mutated, so they have no ``clone()``: a
+  built tree shares their expressions and a copied :class:`SubqueryExpr`
+  shares a statement body.
+
+Expressions are immutable values
+--------------------------------
+
+An :class:`Expr` is never changed after it is built.  There are two
+exceptions, the *mutable nodes*: :attr:`BindParam.peeked` (bind peeking
+records a value on the query tree being optimized) and
+:attr:`SubqueryExpr.query` (transformations rewrite a built subquery
+body in place, or swap it).  A subtree that holds a mutable node is
+always copied; every other subtree is a value that any number of query
+trees may share.  The cost-based transformation framework copies the
+query tree once per search state, so this is what makes a state cheap:
+
+* the container clones (:meth:`SelectItem.clone`,
+  :meth:`OrderItem.clone`, and the query-tree ``QueryBlock.clone`` and
+  ``FromItem.clone``) take :func:`shared_copy` of each expression — the
+  expression itself unless it holds a mutable node;
+* :func:`repro.qtree.exprutil.map_expr` returns an unchanged immutable
+  subtree as it is and rebuilds only the path from the root to a
+  replaced node;
+* an explicit :meth:`Expr.clone` stays a deep copy, so a rewrite that
+  duplicates a conjunct into a second place gets a distinct object and
+  identity-keyed maps never see one object in two places.
+
+Each node works out what it needs to know about its subtree once, on
+first use, and keeps it:
+
+* :attr:`Expr.facts` — the :class:`SubqueryExpr` nodes and the qualified
+  :class:`ColumnRef` nodes of the subtree in :meth:`Expr.walk` order
+  (subquery bodies not entered), and whether it holds a mutable node;
+* its rendered SQL text (:func:`repro.sql.render.render_expr`), kept only
+  for subquery-free nodes (a subquery body's text changes with the
+  body).  A :class:`BindParam` renders as ``:key`` whatever its peek.
 
 Operator spellings are canonicalised: ``!=`` becomes ``<>``.
 """
@@ -38,17 +68,69 @@ NEGATED_COMPARISON = {
 }
 
 
-class Expr:
-    """Base class for all expression nodes."""
+class ExprFacts:
+    """What an expression subtree holds, derived once (:attr:`Expr.facts`).
 
-    __slots__ = ()
+    ``subqueries`` and ``column_refs`` are in :meth:`Expr.walk` order and
+    do not enter subquery bodies; ``column_refs`` holds the qualified
+    references only.  ``mutable`` says whether the subtree holds a
+    :class:`BindParam` or a :class:`SubqueryExpr`."""
+
+    __slots__ = ("subqueries", "column_refs", "mutable")
+
+    def __init__(self, subqueries: tuple, column_refs: tuple, mutable: bool):
+        self.subqueries: tuple["SubqueryExpr", ...] = subqueries
+        self.column_refs: tuple["ColumnRef", ...] = column_refs
+        self.mutable = mutable
+
+
+#: facts of a subtree with no subquery, qualified column or bind
+NO_FACTS = ExprFacts((), (), False)
+#: facts of a lone BindParam
+_BIND_FACTS = ExprFacts((), (), True)
+
+
+class Expr:
+    """Base class for all expression nodes (immutable; see the module
+    docstring).  ``_facts`` and ``_sql`` are filled on first use."""
+
+    __slots__ = ("_facts", "_sql")
+    _facts: ExprFacts
+    #: the rendered SQL; None once rendered when the subtree holds a
+    #: subquery (see :func:`repro.sql.render.render_expr`)
+    _sql: Optional[str]
 
     def children(self) -> Iterator["Expr"]:
         """Yield direct child expressions (not subquery bodies)."""
         return iter(())
 
     def clone(self) -> "Expr":
+        """A deep copy: no expression node of the result is shared with
+        *self* (a parser statement in a subquery is: statements are never
+        changed)."""
         raise NotImplementedError
+
+    @property
+    def facts(self) -> ExprFacts:
+        """This subtree's subqueries, qualified column references and
+        mutability, derived from the children's facts once."""
+        try:
+            return self._facts
+        except AttributeError:
+            pass
+        parts = [f for f in (c.facts for c in self.children()) if f is not NO_FACTS]
+        if not parts:
+            facts = NO_FACTS
+        elif len(parts) == 1:
+            facts = parts[0]
+        else:
+            facts = ExprFacts(
+                tuple(sub for f in parts for sub in f.subqueries),
+                tuple(ref for f in parts for ref in f.column_refs),
+                any(f.mutable for f in parts),
+            )
+        self._facts = facts
+        return facts
 
     def walk(self) -> Iterator["Expr"]:
         """Yield this node and all expression descendants, pre-order.
@@ -78,6 +160,11 @@ class ColumnRef(Expr):
     def clone(self) -> "ColumnRef":
         return ColumnRef(self.qualifier, self.name)
 
+    @property
+    def facts(self) -> ExprFacts:
+        # built per call: a cached copy would hold a cycle back to self
+        return ExprFacts((), (self,), False) if self.qualifier else NO_FACTS
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ColumnRef)
@@ -102,6 +189,10 @@ class Literal(Expr):
 
     def clone(self) -> "Literal":
         return Literal(self.value)
+
+    @property
+    def facts(self) -> ExprFacts:
+        return NO_FACTS
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Literal) and self.value == other.value \
@@ -130,7 +221,9 @@ class BindParam(Expr):
     peeking): the selectivity estimator treats a peeked BindParam like a
     literal of that value, while execution always reads the actual bind
     set for the current call.  Identity (``__eq__``/``__hash__``) is by
-    key only; the peeked value is advisory optimizer state.
+    key only; the peeked value is advisory optimizer state.  It is one of
+    the two mutable parts of an expression, so a BindParam is never
+    shared between trees.
     """
 
     __slots__ = ("key", "peeked")
@@ -145,6 +238,10 @@ class BindParam(Expr):
 
     def clone(self) -> "BindParam":
         return BindParam(self.key, self.peeked)
+
+    @property
+    def facts(self) -> ExprFacts:
+        return _BIND_FACTS
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BindParam) and self.key == other.key
@@ -166,6 +263,10 @@ class Star(Expr):
 
     def clone(self) -> "Star":
         return Star(self.qualifier)
+
+    @property
+    def facts(self) -> ExprFacts:
+        return NO_FACTS
 
     def __repr__(self) -> str:
         return f"Star({self.qualifier or ''})"
@@ -417,7 +518,7 @@ class WindowFunc(Expr):
         return WindowFunc(
             self.func.clone(),
             (e.clone() for e in self.partition_by),
-            (o.clone() for o in self.order_by),
+            (OrderItem(o.expr.clone(), o.descending) for o in self.order_by),
             self.frame.clone() if self.frame else None,
         )
 
@@ -459,6 +560,9 @@ class SubqueryExpr(Expr):
 
     ``query`` is a parser-level statement until the query-tree builder
     replaces it with a built :class:`repro.qtree.blocks.QueryBlock`.
+    It is one of the two mutable parts of an expression: transformations
+    rewrite a built body in place or swap it, so a SubqueryExpr is never
+    shared between trees.
     """
 
     __slots__ = ("kind", "query", "left", "op", "quantifier", "negated")
@@ -483,7 +587,14 @@ class SubqueryExpr(Expr):
         if self.left is not None:
             yield self.left
 
+    @property
+    def facts(self) -> ExprFacts:
+        # built per call: a cached copy would hold a cycle back to self
+        left = self.left.facts if self.left is not None else NO_FACTS
+        return ExprFacts((self,) + left.subqueries, left.column_refs, True)
+
     def clone(self) -> "SubqueryExpr":
+        # a built body is copied; a parser statement has no clone()
         query = self.query.clone() if hasattr(self.query, "clone") else self.query
         return SubqueryExpr(
             self.kind,
@@ -511,7 +622,7 @@ class SelectItem:
     alias: Optional[str] = None
 
     def clone(self) -> "SelectItem":
-        return SelectItem(self.expr.clone(), self.alias)
+        return SelectItem(shared_copy(self.expr), self.alias)
 
 
 @dataclass
@@ -522,7 +633,7 @@ class OrderItem:
     descending: bool = False
 
     def clone(self) -> "OrderItem":
-        return OrderItem(self.expr.clone(), self.descending)
+        return OrderItem(shared_copy(self.expr), self.descending)
 
 
 class TableExpr:
@@ -587,11 +698,6 @@ class SelectStmt:
     having: Optional[Expr] = None
     order_by: list[OrderItem] = field(default_factory=list)
 
-    def clone(self) -> "SelectStmt":
-        import copy
-
-        return copy.deepcopy(self)
-
 
 @dataclass
 class SetOpStmt:
@@ -606,11 +712,6 @@ class SetOpStmt:
     left: "Statement"
     right: "Statement"
     order_by: list[OrderItem] = field(default_factory=list)
-
-    def clone(self) -> "SetOpStmt":
-        import copy
-
-        return copy.deepcopy(self)
 
 
 Statement = Union[SelectStmt, SetOpStmt]
@@ -681,6 +782,12 @@ DdlStatement = Union[CreateTable, CreateIndex]
 # ---------------------------------------------------------------------------
 
 
+def shared_copy(expr: Expr) -> Expr:
+    """The copy a container clone takes of *expr*: *expr* itself when its
+    subtree holds no mutable node, else a deep :meth:`Expr.clone`."""
+    return expr.clone() if expr.facts.mutable else expr
+
+
 def conjuncts_of(expr: Optional[Expr]) -> list[Expr]:
     """Split *expr* into a flat list of AND-ed conjuncts.
 
@@ -746,4 +853,4 @@ def bind_params_in(expr: Expr) -> Iterator[BindParam]:
 
 def contains_subquery(expr: Expr) -> bool:
     """True if *expr* contains any SubqueryExpr node."""
-    return any(isinstance(node, SubqueryExpr) for node in expr.walk())
+    return bool(expr.facts.subqueries)

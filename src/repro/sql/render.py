@@ -29,7 +29,28 @@ def render_literal(value: object) -> str:
 
 
 def render_expr(expr: ast.Expr) -> str:
-    """Render an expression tree to SQL."""
+    """Render an expression tree to SQL.  A subquery-free node keeps its
+    text and returns it on later calls (expressions are immutable)."""
+    try:
+        text = expr._sql
+    except AttributeError:
+        text = None
+    if text is None:
+        text = _render(expr, render_expr)
+        # a subquery body's text changes as transformations rewrite it
+        expr._sql = None if expr.facts.subqueries else text
+    return text
+
+
+def render_expr_uncached(expr: ast.Expr) -> str:
+    """:func:`render_expr` reading and filling no kept text (subquery
+    bodies excepted): what the paranoid checks compare the kept text
+    with."""
+    return _render(expr, render_expr_uncached)
+
+
+def _render(expr: ast.Expr, render) -> str:
+    """Render one node; *render* renders its children."""
     if isinstance(expr, ast.Literal):
         return render_literal(expr.value)
     if isinstance(expr, ast.ColumnRef):
@@ -43,75 +64,83 @@ def render_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Star):
         return f"{expr.qualifier}.*" if expr.qualifier else "*"
     if isinstance(expr, ast.BinOp):
-        left = _render_operand(expr.left)
-        right = _render_operand(expr.right)
+        left = _render_operand(render, expr.left)
+        right = _render_operand(render, expr.right)
         return f"{left} {expr.op} {right}"
     if isinstance(expr, ast.And):
-        return " AND ".join(_render_bool_operand(op, ast.Or) for op in expr.operands)
+        return " AND ".join(
+            _render_bool_operand(render, op, ast.Or) for op in expr.operands
+        )
     if isinstance(expr, ast.Or):
-        return " OR ".join(_render_bool_operand(op, ast.And) for op in expr.operands)
+        return " OR ".join(
+            _render_bool_operand(render, op, ast.And) for op in expr.operands
+        )
     if isinstance(expr, ast.Not):
-        return f"NOT ({render_expr(expr.operand)})"
+        return f"NOT ({render(expr.operand)})"
     if isinstance(expr, ast.IsNull):
         middle = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"{_render_operand(expr.operand)} {middle}"
+        return f"{_render_operand(render, expr.operand)} {middle}"
     if isinstance(expr, ast.Between):
         neg = "NOT " if expr.negated else ""
         return (
-            f"{_render_operand(expr.operand)} {neg}BETWEEN "
-            f"{_render_operand(expr.low)} AND {_render_operand(expr.high)}"
+            f"{_render_operand(render, expr.operand)} {neg}BETWEEN "
+            f"{_render_operand(render, expr.low)} AND "
+            f"{_render_operand(render, expr.high)}"
         )
     if isinstance(expr, ast.Like):
         neg = "NOT " if expr.negated else ""
-        return f"{_render_operand(expr.operand)} {neg}LIKE {render_expr(expr.pattern)}"
+        return (
+            f"{_render_operand(render, expr.operand)} {neg}LIKE "
+            f"{render(expr.pattern)}"
+        )
     if isinstance(expr, ast.InList):
         neg = "NOT " if expr.negated else ""
-        items = ", ".join(render_expr(item) for item in expr.items)
-        return f"{_render_operand(expr.operand)} {neg}IN ({items})"
+        items = ", ".join(render(item) for item in expr.items)
+        return f"{_render_operand(render, expr.operand)} {neg}IN ({items})"
     if isinstance(expr, ast.RowExpr):
-        return "(" + ", ".join(render_expr(item) for item in expr.items) + ")"
+        return "(" + ", ".join(render(item) for item in expr.items) + ")"
     if isinstance(expr, ast.FuncCall):
         distinct = "DISTINCT " if expr.distinct else ""
-        args = ", ".join(render_expr(arg) for arg in expr.args)
+        args = ", ".join(render(arg) for arg in expr.args)
         return f"{expr.name}({distinct}{args})"
     if isinstance(expr, ast.WindowFunc):
-        return _render_window(expr)
+        return _render_window(expr, render)
     if isinstance(expr, ast.Case):
         parts = ["CASE"]
         for cond, result in expr.whens:
-            parts.append(f"WHEN {render_expr(cond)} THEN {render_expr(result)}")
+            parts.append(f"WHEN {render(cond)} THEN {render(result)}")
         if expr.default is not None:
-            parts.append(f"ELSE {render_expr(expr.default)}")
+            parts.append(f"ELSE {render(expr.default)}")
         parts.append("END")
         return " ".join(parts)
     if isinstance(expr, ast.SubqueryExpr):
-        return _render_subquery_expr(expr)
+        return _render_subquery_expr(expr, render)
     raise UnsupportedError(f"cannot render expression node {type(expr).__name__}")
 
 
-def _render_operand(expr: ast.Expr) -> str:
+def _render_operand(render, expr: ast.Expr) -> str:
     """Render a sub-operand, parenthesising compound expressions."""
-    text = render_expr(expr)
+    text = render(expr)
     if isinstance(expr, (ast.BinOp, ast.And, ast.Or, ast.Case)):
         return f"({text})"
     return text
 
 
-def _render_bool_operand(expr: ast.Expr, wrap_type: type) -> str:
-    text = render_expr(expr)
+def _render_bool_operand(render, expr: ast.Expr, wrap_type: type) -> str:
+    text = render(expr)
     if isinstance(expr, wrap_type):
         return f"({text})"
     return text
 
 
-def _render_window(expr: ast.WindowFunc) -> str:
+def _render_window(expr: ast.WindowFunc, render) -> str:
     parts: list[str] = []
     if expr.partition_by:
-        cols = ", ".join(render_expr(e) for e in expr.partition_by)
+        cols = ", ".join(render(e) for e in expr.partition_by)
         parts.append(f"PARTITION BY {cols}")
     if expr.order_by:
         items = ", ".join(
-            render_expr(o.expr) + (" DESC" if o.descending else "")
+            render(o.expr) + (" DESC" if o.descending else "")
             for o in expr.order_by
         )
         parts.append(f"ORDER BY {items}")
@@ -121,7 +150,7 @@ def _render_window(expr: ast.WindowFunc) -> str:
             f"AND {_render_bound(expr.frame.end)}"
         )
     over = " ".join(parts)
-    return f"{render_expr(expr.func)} OVER ({over})"
+    return f"{render(expr.func)} OVER ({over})"
 
 
 def _render_bound(bound: object) -> str:
@@ -131,17 +160,18 @@ def _render_bound(bound: object) -> str:
     return str(bound)
 
 
-def _render_subquery_expr(expr: ast.SubqueryExpr) -> str:
+def _render_subquery_expr(expr: ast.SubqueryExpr, render) -> str:
     body = render_statement(expr.query)
     if expr.kind == "EXISTS":
         prefix = "NOT EXISTS" if expr.negated else "EXISTS"
         return f"{prefix} ({body})"
     if expr.kind == "IN":
         middle = "NOT IN" if expr.negated else "IN"
-        return f"{_render_operand(expr.left)} {middle} ({body})"
+        return f"{_render_operand(render, expr.left)} {middle} ({body})"
     if expr.kind == "QUANTIFIED":
         return (
-            f"{_render_operand(expr.left)} {expr.op} {expr.quantifier} ({body})"
+            f"{_render_operand(render, expr.left)} {expr.op} "
+            f"{expr.quantifier} ({body})"
         )
     if expr.kind == "SCALAR":
         return f"({body})"

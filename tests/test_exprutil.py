@@ -21,12 +21,38 @@ def qualified(text):
 
 
 class TestMapExpr:
-    def test_identity_rebuild_is_deep_copy(self):
+    def test_identity_rebuild_shares_immutable_subtrees(self):
+        # expressions are immutable: an unchanged subtree is the same object
         expr = qualified("a + b * 2")
+        assert exprutil.map_expr(expr, lambda _n: None) is expr
+
+        # one replaced leaf rebuilds only its root path; siblings are shared
+        expr = qualified("(a + b) * (c - 2)")
+
+        def replace_b(node):
+            if isinstance(node, ast.ColumnRef) and node.name == "b":
+                return ast.ColumnRef("t", "z")
+            return None
+
+        rebuilt = exprutil.map_expr(expr, replace_b)
+        assert render_expr(rebuilt) == "(t.a + t.z) * (t.c - 2)"
+        assert render_expr(expr) == "(t.a + t.b) * (t.c - 2)"
+        assert rebuilt is not expr and rebuilt.left is not expr.left
+        assert rebuilt.left.left is expr.left.left
+        assert rebuilt.right is expr.right
+
+        # a subtree holding a mutable node comes back as distinct objects
+        expr = qualified("a + b * :k")
         copy = exprutil.map_expr(expr, lambda _n: None)
         assert render_expr(copy) == render_expr(expr)
-        assert copy is not expr
-        assert copy.left is not expr.left
+        assert copy is not expr and copy.right is not expr.right
+        assert copy.right.right is not expr.right.right
+        assert copy.left is expr.left
+        sub = ast.SubqueryExpr("IN", query=None, left=qualified("a"))
+        wrapped = ast.And([qualified("c = 1"), sub])
+        copy = exprutil.map_expr(wrapped, lambda _n: None)
+        assert copy is not wrapped and copy.operands[1] is not sub
+        assert copy.operands[0] is wrapped.operands[0]
 
     def test_replacement_applies_bottom_up(self):
         expr = qualified("a + a")

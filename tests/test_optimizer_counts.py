@@ -5,7 +5,10 @@ this golden also pins what a "pure speed-up" of the optimizer must not
 move: the chosen plan's cost to the last float bit, the number of CBQT
 states costed and the number of fresh join-order enumerations — for the
 twelve paper queries and the Table 2 query, under all four search
-strategies, with the subplan memo on and off.
+strategies, with the subplan memo on and off.  The ``classes_memo_*``
+legs add five generated queries of every non-SPJ workload class
+(:mod:`repro.workload.querygen`) under the default strategy, so shapes
+beyond the paper's own queries are pinned too.
 
 Regenerate (only when a change is *meant* to alter plans or counts)::
 
@@ -21,7 +24,13 @@ import pytest
 
 from repro import OptimizerConfig
 from repro.cbqt.search import STRATEGIES
-from repro.workload import hr_database
+from repro.workload import (
+    MixWeights,
+    QueryGenerator,
+    apps_database,
+    hr_database,
+    register_workload_functions,
+)
 from repro.workload.plan_digest import structural_digest
 
 from . import conftest  # noqa: F401  (suite-wide REPRO_* defaults)
@@ -51,11 +60,57 @@ def compute_counts(plan_memo: bool) -> dict[str, list]:
     return counts
 
 
-@pytest.mark.parametrize("leg", ["memo_on", "memo_off"])
+#: generated queries pinned per non-SPJ workload class
+QUERIES_PER_CLASS = 5
+
+
+def compute_class_counts(plan_memo: bool) -> dict[str, list]:
+    """``"<class>/<i>" -> [digest, repr(cost), states, join orders]`` for
+    :data:`QUERIES_PER_CLASS` generated queries of every workload class
+    except plain select-project-join, on one fresh fixed-seed apps
+    database, optimized in class order with the default strategy."""
+    db, schema = apps_database(
+        seed=13,
+        modules=("hr", "oe"),
+        masters_per_module=2,
+        details_per_module=2,
+        histories_per_module=1,
+        master_rows=30,
+        detail_rows=250,
+        history_rows=500,
+    )
+    register_workload_functions(db)
+    generator = QueryGenerator(schema, seed=101)
+    config = OptimizerConfig(plan_memo=plan_memo)
+    counts: dict[str, list] = {}
+    for query_class, _weight in MixWeights().items():
+        if query_class == "spj":
+            continue
+        for i in range(QUERIES_PER_CLASS):
+            query = generator.generate_class(query_class)
+            optimized = db.optimize(query.sql, config)
+            counts[f"{query_class}/{i}"] = [
+                structural_digest(optimized.plan),
+                repr(optimized.plan.cost),
+                optimized.report.total_states,
+                optimized.counters.join_orders_considered,
+            ]
+    return counts
+
+
+LEGS = {
+    "memo_on": lambda: compute_counts(plan_memo=True),
+    "memo_off": lambda: compute_counts(plan_memo=False),
+    "classes_memo_on": lambda: compute_class_counts(plan_memo=True),
+    "classes_memo_off": lambda: compute_class_counts(plan_memo=False),
+}
+
+
+@pytest.mark.parametrize("leg", sorted(LEGS))
 def test_counts_match_golden(leg):
     with open(GOLDEN) as handle:
         golden = json.load(handle)[leg]
-    counts = compute_counts(plan_memo=(leg == "memo_on"))
+    counts = LEGS[leg]()
     assert sorted(counts) == sorted(golden)
     changed = {k: (golden[k], v) for k, v in counts.items() if golden[k] != v}
     assert not changed
@@ -64,7 +119,7 @@ def test_counts_match_golden(leg):
 if __name__ == "__main__":
     with open(GOLDEN, "w") as out:
         json.dump(
-            {"memo_on": compute_counts(True), "memo_off": compute_counts(False)},
+            {leg: compute() for leg, compute in LEGS.items()},
             out, indent=1, sort_keys=True,
         )
         out.write("\n")
