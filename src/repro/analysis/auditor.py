@@ -72,11 +72,6 @@ class TransformationAuditor:
         render (``qtree.expr-cache``)."""
         return self._record(verify_expr_caches(root), transformation, None)
 
-    def snapshot_shared(self, root: QueryNode) -> list[tuple[str, str]]:
-        """The rendering :meth:`audit_shared` compares with: taken of the
-        tree a CBQT search copies, before the search."""
-        return expr_texts(root)
-
     def audit_shared(
         self,
         root: QueryNode,
@@ -85,7 +80,8 @@ class TransformationAuditor:
         state: tuple[int, ...],
     ) -> list[Diagnostic]:
         """After costing *state*: the searched tree, whose expressions
-        each state copy shares, must render as in *snapshot*
+        each state copy shares, must render as in *snapshot*, its
+        :func:`~.qtree_verifier.expr_texts` taken before the search
         (``qtree.shared-mutated``)."""
         diagnostics = []
         now = expr_texts(root)

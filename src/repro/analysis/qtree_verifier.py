@@ -19,6 +19,10 @@ This verifier checks the invariants every :class:`QueryBlock` /
 ``qtree.block-names``
     block / set-op names are unique across the whole tree (TargetRef
     paths address blocks by name);
+``qtree.expr-placed-twice``
+    no conjunct object and no subquery expression sits at two places of
+    one tree: the optimizer and the plan verifier key conjuncts by
+    identity, and a subquery body is rewritten in place;
 ``qtree.join-type`` / ``qtree.join-endpoints``
     join types are known and every alias a non-inner item's ON condition
     references exists in scope (the partial-order endpoints);
@@ -56,7 +60,7 @@ Two more rules check the immutable-expression contract of
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import Optional
 
 from ..catalog.schema import Catalog
@@ -85,6 +89,7 @@ class QTreeVerifier:
         type(self).calls += 1
         diagnostics: list[Diagnostic] = []
         self._check_unique_names(root, diagnostics)
+        self._check_placed_once(root, diagnostics)
         self._verify_node(root, [], diagnostics)
         return diagnostics
 
@@ -104,6 +109,30 @@ class QTreeVerifier:
                     "(TargetRef paths are ambiguous)",
                     node=name,
                 ))
+
+    def _check_placed_once(
+        self, root: QueryNode, diagnostics: list[Diagnostic]
+    ) -> None:
+        # a conjunct may itself be a subquery expression: one set each
+        conjuncts: set[int] = set()
+        subqueries: set[int] = set()
+        for node in _iter_all_nodes(root):
+            if not isinstance(node, QueryBlock):
+                continue
+            groups: list[tuple[set[int], Sequence[ast.Expr]]] = [
+                (conjuncts, node.all_conjuncts()),
+                (subqueries, node.subquery_exprs()),
+            ]
+            for seen, exprs in groups:
+                for expr in exprs:
+                    if id(expr) in seen:
+                        diagnostics.append(Diagnostic(
+                            "qtree.expr-placed-twice", "error",
+                            f"{render_expr(expr)!r} is one object placed at "
+                            "two places of the tree (copy it with clone())",
+                            node=node.name,
+                        ))
+                    seen.add(id(expr))
 
     # -- node dispatch -------------------------------------------------------
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..analysis import Diagnostic, TransformationAuditor
+from ..analysis.qtree_verifier import expr_texts
 from ..catalog.schema import Catalog
 from ..configstamp import Stamped
 from ..errors import OptimizerError, TransformError
@@ -378,7 +379,7 @@ class CbqtFramework:
         best_so_far = [math.inf]
         # every state's copy shares *root*'s expressions; paranoid mode
         # checks after each state that none was changed in place
-        shared = auditor.snapshot_shared(root) if auditor is not None else []
+        shared = expr_texts(root) if auditor is not None else []
 
         def trace_state(
             state: tuple[int, ...],

@@ -271,19 +271,11 @@ def _push_not(expr: ast.Expr, negate: bool) -> ast.Expr:
                           expr.negated != negate)
     if isinstance(expr, ast.SubqueryExpr):
         return _normalize_subquery(expr, negate)
-    if isinstance(expr, ast.InList) and negate:
-        return ast.InList(
-            expr.operand.clone(), [i.clone() for i in expr.items], not expr.negated
-        )
-    if isinstance(expr, ast.Between) and negate:
-        return ast.Between(
-            expr.operand.clone(), expr.low.clone(), expr.high.clone(),
-            not expr.negated,
-        )
-    if isinstance(expr, ast.Like) and negate:
-        return ast.Like(
-            expr.operand.clone(), expr.pattern.clone(), not expr.negated
-        )
+    if isinstance(expr, (ast.InList, ast.Between, ast.Like)) and negate:
+        parts = [ast.shared_copy(child) for child in expr.children()]
+        if isinstance(expr, ast.InList):
+            return ast.InList(parts[0], parts[1:], not expr.negated)
+        return type(expr)(*parts, not expr.negated)
     if negate:
         return ast.Not(_normalize_sub(expr))
     return _normalize_sub(expr)

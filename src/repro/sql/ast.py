@@ -29,9 +29,12 @@ query tree once per search state, so this is what makes a state cheap:
 * :func:`repro.qtree.exprutil.map_expr` returns an unchanged immutable
   subtree as it is and rebuilds only the path from the root to a
   replaced node;
-* an explicit :meth:`Expr.clone` stays a deep copy, so a rewrite that
-  duplicates a conjunct into a second place gets a distinct object and
-  identity-keyed maps never see one object in two places.
+* an explicit :meth:`Expr.clone` stays a deep copy, down through
+  subquery bodies, and so does ``QueryBlock.clone(deep=True)``.  A
+  rewrite that duplicates a conjunct or a block into the tree it came
+  from takes one of these, so identity-keyed maps never see one object
+  at two places of a tree; in paranoid mode the query-tree verifier
+  checks this (``qtree.expr-placed-twice``).
 
 Each node works out what it needs to know about its subtree once, on
 first use, and keeps it:
@@ -105,9 +108,9 @@ class Expr:
         return iter(())
 
     def clone(self) -> "Expr":
-        """A deep copy: no expression node of the result is shared with
-        *self* (a parser statement in a subquery is: statements are never
-        changed)."""
+        """A deep copy: no expression node of the result, nor of a
+        subquery body in it, is shared with *self* (a parser statement in
+        a subquery is: statements are never changed)."""
         raise NotImplementedError
 
     @property
@@ -594,8 +597,11 @@ class SubqueryExpr(Expr):
         return ExprFacts((self,) + left.subqueries, left.column_refs, True)
 
     def clone(self) -> "SubqueryExpr":
-        # a built body is copied; a parser statement has no clone()
-        query = self.query.clone() if hasattr(self.query, "clone") else self.query
+        # a built body is copied deep; a parser statement has no clone()
+        query = (
+            self.query.clone(deep=True) if hasattr(self.query, "clone")
+            else self.query
+        )
         return SubqueryExpr(
             self.kind,
             query,
@@ -784,8 +790,19 @@ DdlStatement = Union[CreateTable, CreateIndex]
 
 def shared_copy(expr: Expr) -> Expr:
     """The copy a container clone takes of *expr*: *expr* itself when its
-    subtree holds no mutable node, else a deep :meth:`Expr.clone`."""
-    return expr.clone() if expr.facts.mutable else expr
+    subtree holds no mutable node.  Otherwise the path to each mutable
+    node is rebuilt, a BindParam is copied and a SubqueryExpr gets a body
+    clone that shares in turn; the immutable subtrees beside them are
+    shared."""
+    if not expr.facts.mutable:
+        return expr
+    from ..qtree.exprutil import map_expr  # exprutil imports this module
+
+    return map_expr(expr, _unchanged)
+
+
+def _unchanged(_expr: Expr) -> None:
+    return None
 
 
 def conjuncts_of(expr: Optional[Expr]) -> list[Expr]:

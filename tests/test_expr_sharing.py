@@ -17,19 +17,20 @@ import pytest
 
 from repro import Database, OptimizerConfig
 from repro.analysis import TransformationAuditor
-from repro.analysis.qtree_verifier import verify_expr_caches
+from repro.analysis.qtree_verifier import QTreeVerifier, verify_expr_caches
 from repro.cbqt import CbqtConfig, framework
 from repro.errors import VerificationError
 from repro.optimizer.physical import PhysicalOptimizer
 from repro.qtree import builder, exprutil
 from repro.qtree.binds import apply_peeks, bind_params
-from repro.qtree.blocks import QueryBlock
+from repro.qtree.blocks import QueryBlock, SetOpBlock
 from repro.resilience import ResilienceConfig
 from repro.service.binds import extract_bind_profile
 from repro.sql import ast
 from repro.sql.parser import parse_query
 from repro.sql.render import render_statement
 from repro.transform.base import TargetRef, Transformation, find_block
+from repro.transform.costbased.or_expansion import OrExpansion
 from repro.workload import (
     MixWeights,
     QueryGenerator,
@@ -103,6 +104,75 @@ class TestContainerClones:
         assert clone is not conjunct
         assert clone.left is not conjunct.left
         assert clone.right is not conjunct.right
+
+    def test_explicit_clone_copies_a_subquery_body_deep(self, hr_db):
+        root = hr_db.parse(SUBQUERY_SQL)
+        holder = next(c for c in root.where_conjuncts if ast.contains_subquery(c))
+        clone = holder.clone()
+        assert not _expr_ids(holder) & _expr_ids(clone)
+        assert clone.facts.subqueries[0].query.to_sql() == \
+            holder.facts.subqueries[0].query.to_sql()
+
+    def test_deep_block_clone_shares_no_expression(self, hr_db):
+        root = hr_db.parse(SUBQUERY_SQL)
+        copy = root.clone(deep=True)
+        assert not _expr_ids(root) & _expr_ids(copy)
+        assert copy.to_sql() == root.to_sql()
+
+
+#: a derived table, a subquery predicate and plain conjuncts
+SUBQUERY_SQL = (
+    "SELECT v.dept_id, e.emp_id FROM employees e, "
+    "(SELECT d.dept_id FROM departments d WHERE d.loc_id > 1) v "
+    "WHERE e.dept_id = v.dept_id AND e.salary > 10 AND "
+    "e.job_id IN (SELECT j.job_id FROM jobs j WHERE j.min_salary < 5000)"
+)
+
+
+def _expr_ids(root) -> set[int]:
+    """The ids of every expression node of *root* (a query node or an
+    expression), subquery bodies and derived tables included."""
+    if isinstance(root, ast.Expr):
+        ids = {id(n) for n in root.walk()}
+        for sub in root.facts.subqueries:
+            ids |= _expr_ids(sub.query)
+        return ids
+    ids = set()
+    for block in root.iter_blocks():
+        exprs = [item.expr for item in block.select_items]
+        exprs += block.all_conjuncts() + block.group_by
+        exprs += [o.expr for o in block.order_by]
+        for expr in exprs:
+            ids.update(id(n) for n in expr.walk())
+    return ids
+
+
+class TestCopiesWithinOneTree:
+    """OR-expansion puts k copies of a block into one tree: they must not
+    share a conjunct object, which the optimizer and the plan verifier
+    key by identity."""
+
+    SQL = (
+        "SELECT e.emp_id FROM employees e, departments d "
+        "WHERE e.dept_id = d.dept_id AND e.salary > 1000 "
+        "AND (d.loc_id = 3 OR e.job_id = 5)"
+    )
+
+    def test_or_expansion_branches_share_no_expression(self, hr_db):
+        root = hr_db.parse(self.SQL)
+        transformation = OrExpansion(hr_db.catalog)
+        (target,) = transformation.find_targets(root)
+        expanded = transformation.apply(root.clone(), target)
+        first, second = expanded.branches
+        assert not _expr_ids(first) & _expr_ids(second)
+        assert QTreeVerifier(hr_db.catalog).verify(expanded) == []
+
+    def test_or_expansion_state_is_costed_without_a_diagnostic(self, hr_db):
+        optimized = hr_db.optimize(self.SQL, PARANOID)
+        decision = optimized.report.decision_for("or_expansion")
+        assert decision is not None
+        assert decision.state_costs[(1,)] < float("inf")
+        assert not optimized.report.diagnostics
 
 
 class TestBinds:
@@ -279,3 +349,38 @@ def test_guard_catches_in_place_change_of_a_shared_conjunct(monkeypatch):
     assert diagnostic.state == (1,)
     assert "t.b > 1" in diagnostic.message and "t.b < 1" in diagnostic.message
 
+
+class _PlaceBlockTwice(Transformation):
+    """Breaks the contract: puts a sharing clone of the block into the
+    tree next to the block itself, so both hold the same conjuncts."""
+
+    name = "place_twice"
+    cost_based = True
+
+    def find_targets(self, root):
+        if isinstance(root, QueryBlock) and root.where_conjuncts:
+            return [TargetRef(root.name, "block", 0)]
+        return []
+
+    def apply(self, root, target):
+        copy = root.clone()
+        copy.name = f"{root.name}$copy"
+        return SetOpBlock("UNION ALL", [root, copy])
+
+
+def test_verifier_catches_a_conjunct_placed_twice(monkeypatch):
+    db = Database()
+    db.execute_ddl("CREATE TABLE t (a INT, b INT)")
+    db.insert("t", [{"a": i, "b": i % 3} for i in range(20)])
+    db.analyze()
+    monkeypatch.setattr(
+        framework, "build_cost_based_transformations",
+        lambda catalog: [_PlaceBlockTwice(catalog)],
+    )
+    with pytest.raises(VerificationError) as caught:
+        db.optimize("SELECT t.a FROM t WHERE t.b > 1", PARANOID)
+    (diagnostic,) = caught.value.diagnostics
+    assert diagnostic.rule == "qtree.expr-placed-twice"
+    assert diagnostic.transformation.startswith("place_twice(")
+    assert diagnostic.state == (1,)
+    assert "t.b > 1" in diagnostic.message
