@@ -87,10 +87,6 @@ def test_fig2_cbqt_vs_heuristic(benchmark, apps, mixed_queries,
     )
     # a minority of affected queries may degrade — but only a minority
     assert stats.degraded_percent_of_queries < 50.0
-    # Pre-memo, cost-based search cost ~56% extra fresh join-order
-    # enumerations here (the paper: +40% optimization time).  The
-    # subplan memo shares physical subplans across CBQT states *and*
-    # across the heuristic/CBQT parses of the same statement, so the
-    # treated parse's marginal effort now gates far below that —
-    # negative means it was served mostly from the memo.
-    assert opt_increase < 40.0
+    # cost-based search costs optimizer effort (the paper: +40%
+    # optimization time; here it is counted in join-order enumerations)
+    assert opt_increase > 0.0

@@ -63,24 +63,7 @@ def test_table2_search_strategies(benchmark, hr_db):
             name: run_mode(hr_db, config)[:2] for name, config in MODES
         }
 
-    # subplan-memo effectiveness across the four strategies' repeated
-    # parses, measured as a delta over the bench window (counters are
-    # deterministic; the committed baseline is recorded from the same
-    # full-suite quick-mode invocation CI uses)
-    memo_before = hr_db.plan_memo.snapshot()
     results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    memo_after = hr_db.plan_memo.snapshot()
-    memo_hits = (
-        memo_after["hits"] + memo_after["join_hits"]
-        - memo_before["hits"] - memo_before["join_hits"]
-    )
-    memo_misses = (
-        memo_after["misses"] + memo_after["join_misses"]
-        - memo_before["misses"] - memo_before["join_misses"]
-    )
-    memo_lookups = memo_hits + memo_misses
-    memo_hit_rate = 100.0 * memo_hits / memo_lookups if memo_lookups else 0.0
-    enumerations_saved = memo_after["join_hits"] - memo_before["join_hits"]
 
     lines = [
         "Table 2. Optimization time and #states per search technique",
@@ -98,18 +81,10 @@ def test_table2_search_strategies(benchmark, hr_db):
         lines.append(
             f"  {name:<12} {elapsed:9.3f}s {states:8d}   ({p_time} / {p_states})"
         )
-    lines.append("")
-    lines.append(
-        f"  subplan memo: {memo_hit_rate:.1f}% hit rate over "
-        f"{memo_lookups} lookups, {enumerations_saved} join-order "
-        f"enumerations served without running"
-    )
     metrics = {
         f"states_{name.lower().replace(' ', '_')}": states
         for name, (_elapsed, states) in results.items()
     }
-    metrics["memo_hit_rate_percent"] = round(memo_hit_rate, 1)
-    metrics["memo_join_enumerations_saved"] = enumerations_saved
     record_report(
         "Table 2 search strategies",
         "\n".join(lines),
@@ -125,11 +100,6 @@ def test_table2_search_strategies(benchmark, hr_db):
     # the two cheapest modes).
     assert results["Exhaustive"][0] > results["Two Pass"][0] * 0.8
     assert results["Exhaustive"][0] >= results["Linear"][0] * 0.5
-    # Repeated parses of the same statement must be served by the
-    # subplan memo (unless the run disabled it via REPRO_MEMO=0).
-    if hr_db.config.plan_memo:
-        assert memo_hits > 0
-        assert enumerations_saved > 0
 
 
 @pytest.mark.benchmark(group="table2")

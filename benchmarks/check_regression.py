@@ -59,21 +59,14 @@ DIRECTIONS = {
     "durability_replay_rows_per_sec": "higher",
     "durability_replay_records_per_sec": "higher",
     "durability_checkpoint_load_rows_per_sec": "higher",
-    # subplan-memo effectiveness (deterministic counters from the
-    # optimizer; a drop means states stopped sharing physical subplans)
-    "memo_hit_rate_percent": "higher",
-    "memo_join_enumerations_saved": "higher",
 }
 
 #: per-metric tolerance overrides (percent), tighter than the blanket
-#: default.  optimization_time_increase_percent is the memo's headline
-#: win — it is deterministic (fresh join-order enumerations, no wall
-#: clock), so any backslide beyond 10% is a real sharing regression,
-#: not machine noise.
+#: default.  optimization_time_increase_percent is deterministic
+#: (join-order enumerations, no wall clock), so any backslide beyond 10%
+#: is a real change in optimizer effort, not machine noise.
 TOLERANCES = {
     "optimization_time_increase_percent": 10.0,
-    "memo_hit_rate_percent": 10.0,
-    "memo_join_enumerations_saved": 10.0,
 }
 
 

@@ -13,7 +13,7 @@ produced by dynamic sampling — describe a *basis* row count, and stay in
 force until the rows inserted since exceed :data:`STALE_PERCENT` of it.
 :meth:`StatisticsRegistry.record_insert` is the one place that decision
 is made; below the threshold an insert changes neither the statistics
-nor any version counter, so dependent cursors and the plan memo survive.
+nor any version counter, so dependent cursors survive.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ class StatisticsRegistry:
 
     Like the catalog, the registry keeps monotonic version counters
     (global and per table) bumped on every statistics change, so cached
-    plans, the plan memo and the dynamic-sampling cache detect staleness
+    plans and the dynamic-sampling cache detect staleness
     with an O(1) comparison.
 
     It also owns the staleness rule (see the module docstring).  Per

@@ -157,13 +157,9 @@ class OptimizationReport:
     governor: Optional[GovernorStats] = None
     #: blocks the physical optimizer actually planned for this statement
     blocks_optimized: int = 0
-    #: fresh join-order enumerations run (memo hits skip the enumerator,
+    #: join-order enumerations run (annotation hits skip the enumerator,
     #: so this — not total_states — is the optimization-time currency)
     join_enumerations: int = 0
-    #: cross-statement memo hits at the node tier (whole subplans reused)
-    memo_hits: int = 0
-    #: cross-statement memo hits at the join tier (join orders reused)
-    memo_join_hits: int = 0
 
     def decision_for(self, name: str) -> Optional[TransformationDecision]:
         for decision in self.decisions:
@@ -175,11 +171,7 @@ class OptimizationReport:
 class CbqtFramework:
     """One instance per Database; stateless across queries apart from the
     shared physical optimizer (whose annotation store the framework clears
-    per query, keeping it only across states — §3.4.3).  When the physical
-    optimizer carries a :class:`~repro.optimizer.memo.MemoSession`, reuse
-    additionally crosses statements: identical subtrees and join cores
-    recur across CBQT search states and hard parses, and the memo serves
-    their optimized subplans without re-running join-order enumeration."""
+    per query, keeping it only across states — §3.4.3)."""
 
     def __init__(
         self,
@@ -215,9 +207,6 @@ class CbqtFramework:
         counters = self._physical.counters
         blocks_before = counters.blocks_optimized
         enumerations_before = counters.join_orders_considered
-        memo = self._physical.memo
-        memo_hits_before = memo.hits if memo is not None else 0
-        memo_join_before = memo.join_hits if memo is not None else 0
 
         auditor = self._auditor
         if auditor is not None:
@@ -254,20 +243,6 @@ class CbqtFramework:
         report.join_enumerations = (
             counters.join_orders_considered - enumerations_before
         )
-        if memo is not None:
-            report.memo_hits = memo.hits - memo_hits_before
-            report.memo_join_hits = memo.join_hits - memo_join_before
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "cbqt.memo",
-                    hits=report.memo_hits,
-                    join_hits=report.memo_join_hits,
-                    stores=memo.stores,
-                    join_stores=memo.join_stores,
-                    shared_operators=memo.shared_operators,
-                    max_share_depth=memo.max_share_depth,
-                    active=memo.active,
-                )
         report.elapsed_seconds = time.perf_counter() - started
         return root, plan, report
 
@@ -387,13 +362,8 @@ class CbqtFramework:
             prune: Optional[str],
             hits_before: int = -1,
             misses_before: int = -1,
-            memo_before: int = -1,
         ) -> None:
             stats = self._physical.annotations.stats
-            memo = self._physical.memo
-            memo_hits = 0
-            if memo is not None and memo_before >= 0:
-                memo_hits = memo.hits + memo.join_hits - memo_before
             assert tracer is not None
             tracer.emit(
                 "cbqt.state",
@@ -407,7 +377,6 @@ class CbqtFramework:
                 annotation_misses=(
                     stats.misses - misses_before if misses_before >= 0 else 0
                 ),
-                memo_hits=memo_hits,
             )
 
         def cost_fn(state: tuple[int, ...]) -> float:
@@ -427,10 +396,6 @@ class CbqtFramework:
             if tracer is not None:
                 before = self._physical.annotations.stats
                 hits_before, misses_before = before.hits, before.misses
-                memo = self._physical.memo
-                memo_before = (
-                    memo.hits + memo.join_hits if memo is not None else -1
-                )
             # VerificationError deliberately escapes this net: a state
             # whose rewrite corrupted the tree must abort the search, not
             # be silently costed at infinity.  So does everything that is
@@ -453,8 +418,7 @@ class CbqtFramework:
             if plan is None:
                 if tracer is not None:
                     trace_state(
-                        state, math.inf, prune,
-                        hits_before, misses_before, memo_before,
+                        state, math.inf, prune, hits_before, misses_before
                     )
                 return math.inf
             if auditor is not None:
@@ -463,8 +427,7 @@ class CbqtFramework:
                 best_so_far[0] = plan.cost
             if tracer is not None:
                 trace_state(
-                    state, plan.cost, None,
-                    hits_before, misses_before, memo_before,
+                    state, plan.cost, None, hits_before, misses_before
                 )
             return plan.cost
 

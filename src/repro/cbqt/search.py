@@ -21,13 +21,11 @@ state aborted by the cost cut-off) and returns ``SearchResult`` with the
 best state found and the number of *distinct* states costed — the column
 reported in Table 2 of the paper.
 
-States-costed is unchanged by the subplan memo
-(:mod:`repro.optimizer.memo`): every state the strategy visits is still
-costed, but states whose subtrees or join cores were already optimized —
-under an earlier state of this search or an earlier statement — are
-costed from memoized physical subplans instead of fresh join-order
-enumerations, so the *work per state* shrinks while the search shape
-(and Table 2's counts) stays identical.
+States-costed is unchanged by cost-annotation reuse (§3.4.2): every
+state the strategy visits is still costed, but blocks an earlier state
+of this search already optimized are served from their annotations
+instead of fresh join-order enumerations, so the *work per state*
+shrinks while the search shape (and Table 2's counts) stays identical.
 """
 
 from __future__ import annotations

@@ -828,12 +828,7 @@ def _cmd_plan_digest(args: list[str], shell: Shell) -> int:
         return 1
     db = hr_database(scale=1, seed=42)
     digests = corpus_digests(db, queries)
-    memo = db.snapshot().get("plan_memo", {})
-    shell.echo(
-        f"digested {len(digests)} plans "
-        f"(memo {'on' if db.config.plan_memo else 'off'}, "
-        f"hit rate {memo.get('hit_rate', 0.0):.0%})"
-    )
+    shell.echo(f"digested {len(digests)} plans")
     if update:
         with open(golden_path, "w") as handle:
             json.dump(digests, handle, indent=2, sort_keys=True)

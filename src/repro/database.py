@@ -55,11 +55,10 @@ from .obs import (
 )
 from .optimizer.annotations import AnnotationStore
 from .optimizer.costmodel import DEFAULT_COST_MODEL, CostModel
-from .optimizer.memo import MemoSession, PlanMemo
 from .optimizer.physical import OptimizerCounters, PhysicalOptimizer
 from .optimizer.plans import Plan
 from .qtree import build_query_tree
-from .qtree.binds import apply_peeks, has_peeked_binds
+from .qtree.binds import apply_peeks
 from .qtree.blocks import QueryNode
 from .resilience import (
     CancelToken,
@@ -87,15 +86,6 @@ def _default_executor_mode() -> str:
             f"REPRO_EXEC={mode!r} is not one of {'/'.join(EXECUTOR_MODES)}"
         )
     return mode
-
-
-def _env_memo_enabled() -> bool:
-    """Default for :attr:`OptimizerConfig.plan_memo`, from ``REPRO_MEMO``
-    (the plan-stability CI job runs a leg with ``REPRO_MEMO=0`` to prove
-    the memo changes no chosen plan)."""
-    return os.environ.get("REPRO_MEMO", "").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
 
 
 _TRANSFORMATION_NAMES: Optional[frozenset] = None
@@ -132,9 +122,6 @@ class OptimizerConfig(Stamped):
     cost_model: CostModel = DEFAULT_COST_MODEL
     #: reuse of query sub-tree cost annotations (§3.4.2)
     annotation_reuse: bool = True
-    #: cross-statement subplan memo (generalized annotation reuse; see
-    #: :mod:`repro.optimizer.memo`); also requires annotation_reuse
-    plan_memo: bool = field(default_factory=_env_memo_enabled)
     #: left-deep DP up to this many from-items, greedy beyond
     dp_threshold: int = 8
     #: dynamic sampling for tables without statistics (§3.4.4)
@@ -252,6 +239,14 @@ class QueryResult:
         return self.exec_stats.work_units + self.report.total_states
 
 
+class _NoMemo:
+    """``Database.plan_memo``: there is no cross-statement plan memo, so
+    every count is zero."""
+
+    def snapshot(self) -> dict:
+        return {"hits": 0, "misses": 0, "join_hits": 0, "join_misses": 0}
+
+
 class Database:
     """A database instance: in-memory by default, durable when opened
     with a *data_dir* (write-ahead log + checkpoint + recovery; see
@@ -288,12 +283,9 @@ class Database:
             "dynamic_sampling", self._sampling_cache.snapshot
         )
         self.metrics.register_collector("statistics", self.statistics.snapshot)
-        #: cross-statement memo of optimized physical subplans, shared by
-        #: every hard parse against this instance; epoch-invalidated on
-        #: catalog/statistics version bumps (DDL, ANALYZE, an INSERT
-        #: that stales statistics)
-        self.plan_memo = PlanMemo()
-        self.metrics.register_collector("plan_memo", self.plan_memo.snapshot)
+        #: no plan is reused across statements; ``bench/`` still reads
+        #: these (zero) counts in its traced runs
+        self.plan_memo = _NoMemo()
         #: 10053-style optimizer trace; None (the default) emits nothing.
         #: Arm with :meth:`tracing` or assign a Tracer directly.
         self.tracer: Optional[Tracer] = None
@@ -399,7 +391,7 @@ class Database:
         The table's statistics stay in force until the rows inserted
         since they were gathered pass the staleness threshold
         (:meth:`StatisticsRegistry.record_insert`); only then do they
-        drop, invalidating dependent cursors and the plan memo.
+        drop, invalidating dependent cursors.
 
         On a durable instance the batch's WAL record is appended —
         normalised rows, one record for the whole batch — *before* the
@@ -568,9 +560,6 @@ class Database:
             metrics.counter("optimizer.quarantined_statements").inc()
         if report.governor is not None and report.governor.exhausted:
             metrics.counter("optimizer.governor_exhaustions").inc()
-        memo_hits = report.memo_hits + report.memo_join_hits
-        if memo_hits:
-            metrics.counter("optimizer.memo_hits").inc(memo_hits)
 
     # -- optimization & execution ----------------------------------------------
 
@@ -578,11 +567,7 @@ class Database:
         """Parse + resolve into a query tree (no transformation)."""
         return build_query_tree(parse_query(sql), self.catalog)
 
-    def _physical(
-        self,
-        config: OptimizerConfig,
-        memo: Optional[MemoSession] = None,
-    ) -> PhysicalOptimizer:
+    def _physical(self, config: OptimizerConfig) -> PhysicalOptimizer:
         return PhysicalOptimizer(
             self.catalog,
             self.statistics,
@@ -591,33 +576,6 @@ class Database:
             OptimizerCounters(),
             config.dp_threshold,
             self._sampling_cache if config.dynamic_sampling else None,
-            memo,
-        )
-
-    def _memo_session(
-        self, config: OptimizerConfig, tree: QueryNode
-    ) -> Optional[MemoSession]:
-        """Open the statement's memo session (None = memo-off).
-
-        The epoch fingerprint carries everything a cached subplan depends
-        on besides query structure: catalog/statistics versions (so DDL,
-        ANALYZE and a statistics-staling INSERT invalidate, like the plan
-        cache) and the costing-relevant config.  Statements with peeked
-        bind values skip the memo — peeks are not part of the structural
-        signature."""
-        if not (config.plan_memo and config.annotation_reuse):
-            return None
-        fingerprint = (
-            self.catalog.version,
-            self.statistics.version,
-            config.cost_model,
-            config.dp_threshold,
-            config.dynamic_sampling,
-        )
-        return self.plan_memo.begin_statement(
-            fingerprint,
-            peeked=has_peeked_binds(tree),
-            paranoid=config.cbqt.debug_checks,
         )
 
     def optimize_tree(
@@ -746,7 +704,7 @@ class Database:
         if token is not None:
             token.check()  # fast-fail before any optimization work
         columns = list(tree.output_columns())
-        physical = self._physical(config, self._memo_session(config, tree))
+        physical = self._physical(config)
         resilience = config.resilience
         governor = None
         if (

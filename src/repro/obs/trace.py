@@ -16,16 +16,11 @@ Event kinds emitted by the engine:
 * ``cbqt.state`` — one per costed search state: transformation, state
   bit-vector, estimated cost, prune reason (``cost-cutoff``,
   ``infeasible``, ``governor``, or None for a completed state), the
-  annotation-cache hit/miss deltas incurred while costing it, and the
-  cross-statement subplan-memo hit delta (``memo_hits``);
+  and the annotation-cache hit/miss deltas incurred while costing it;
 * ``cbqt.decision`` — the search outcome: best state, best/baseline
   cost, states evaluated, evaluation order, applied labels;
 * ``cbqt.governor`` — emitted when a search governor cut the search
   short (budget/deadline exhaustion accounting);
-* ``cbqt.memo`` — one per optimization that ran with a subplan-memo
-  session: node/join-tier hits and stores, shared-operator count, the
-  deepest reused subplan, and whether the session stayed active (an
-  injected ``memo.lookup`` fault deactivates it mid-statement);
 * ``heuristic.rule`` — one per heuristic rule application round that
   rewrote the tree: rule name, target count, before/after structural
   signatures.

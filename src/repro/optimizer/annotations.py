@@ -13,12 +13,8 @@ the per-state memory release, so the store lives outside any single
 optimization pass and is explicitly cleared by the framework when a
 transformation decision is final.
 
-The annotation store is statement-scoped.  Its cross-statement
-generalization is the subplan memo (:mod:`repro.optimizer.memo`), which
-uses the same structural-signature keys but survives hard parses and is
-invalidated by catalog/statistics version bumps; on a memo hit the plan
-is promoted into this store so the rest of the statement reuses it
-through the normal annotation path.
+The store is statement-scoped and is the optimizer's only plan reuse:
+nothing an optimization computed survives into the next hard parse.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from .join_order import (
     PendingFilter,
     Relation,
 )
-from .memo import MemoSession
 from .plans import (
     Distinct,
     Filter,
@@ -58,9 +57,7 @@ class OptimizerCounters:
 
     blocks_optimized: int = 0
     annotation_hits: int = 0
-    #: *fresh* join-order enumerations: incremented only when
-    #: JoinOrderEnumerator actually runs, so a join-tier memo hit — the
-    #: expensive work CBQT states redo without it — does not count.
+    #: join-order enumerations run (an annotation hit runs none)
     join_orders_considered: int = 0
 
     def reset(self) -> None:
@@ -102,7 +99,6 @@ class PhysicalOptimizer:
         counters: Optional[OptimizerCounters] = None,
         dp_threshold: int = DEFAULT_DP_THRESHOLD,
         stats_sampler=None,
-        memo: Optional[MemoSession] = None,
     ):
         self._catalog = catalog
         self._statistics = statistics
@@ -116,10 +112,6 @@ class PhysicalOptimizer:
         #: optional callable(table_name) -> TableStats for tables without
         #: collected statistics (dynamic sampling; cached per §3.4.4)
         self._stats_sampler = stats_sampler
-        #: statement-scoped view of the cross-statement subplan memo;
-        #: None means memo-off (statement uses peeked binds, the feature
-        #: is disabled, or a direct construction such as the benches)
-        self.memo = memo
         #: ``id(node) -> (node, correlation refs)`` for the duration of
         #: one :meth:`optimize` call, during which the tree is not mutated
         self._correlation: Optional[dict[int, tuple[QueryNode, list]]] = None
@@ -163,14 +155,6 @@ class PhysicalOptimizer:
         if cached is not None:
             self.counters.annotation_hits += 1
             return cached
-        memo = self.memo
-        if memo is not None:
-            shared = memo.get(sig)
-            if shared is not None:
-                # Promote into the statement-local store so further uses
-                # within this statement hit without a memo lookup.
-                self.annotations.put(sig, shared)
-                return shared
         if isinstance(node, SetOpBlock):
             plan = self._optimize_setop(node, budget)
         elif isinstance(node, QueryBlock):
@@ -178,11 +162,6 @@ class PhysicalOptimizer:
         else:
             raise OptimizerError(f"cannot optimize {type(node).__name__}")
         self.annotations.put(sig, plan)
-        if memo is not None and (budget is None or plan.cost <= budget):
-            # Within-budget plans are the true unbudgeted optimum (DP
-            # costs are monotone), so they are safe to reuse anywhere;
-            # over-budget plans never reach here (the block raises).
-            memo.put(sig, plan)
         return plan
 
     def _optimize_setop(self, node: SetOpBlock, budget: Optional[float]) -> Plan:
@@ -323,29 +302,18 @@ class PhysicalOptimizer:
                 self._subquery_filter(facts, analysis, stats_ctx, budget)
             )
 
-        memo = self.memo
-        join_key: Optional[str] = None
-        plan: Optional[Plan] = None
-        if memo is not None:
-            join_key = _join_core_key(block, local_aliases, self._dp_threshold)
-            plan = memo.join_get(join_key)
-        if plan is None:
-            enumerator = JoinOrderEnumerator(
-                relations,
-                join_conjuncts,
-                pending,
-                stats_ctx,
-                cm,
-                self._dp_threshold,
-                budget,
-                analysis,
-            )
-            plan = enumerator.best_plan()
-            self.counters.join_orders_considered += 1
-            if memo is not None and join_key is not None and (
-                budget is None or plan.cost <= budget
-            ):
-                memo.join_put(join_key, plan)
+        enumerator = JoinOrderEnumerator(
+            relations,
+            join_conjuncts,
+            pending,
+            stats_ctx,
+            cm,
+            self._dp_threshold,
+            budget,
+            analysis,
+        )
+        plan = enumerator.best_plan()
+        self.counters.join_orders_considered += 1
 
         if block.rownum_limit is not None:
             fraction = min(
@@ -665,34 +633,6 @@ class PhysicalOptimizer:
         if self._stats_sampler is not None:
             return self._stats_sampler(table_name)
         return None
-
-
-def _join_core_key(
-    block: QueryBlock, local_aliases: set[str], dp_threshold: int
-) -> str:
-    """Memo key for a block's *join core*: everything that feeds access-path
-    selection and :class:`JoinOrderEnumerator`.  From-items (alias, join
-    type, source, ON conjuncts, predecessor constraints) and the full WHERE
-    conjunct set are included; post-join clauses (select list, GROUP BY,
-    ORDER BY, ROWNUM) deliberately are not — states differing only there
-    share one enumeration.  Including *all* WHERE conjuncts over-keys
-    slightly (subquery/expensive conjuncts only shape pending filters) in
-    exchange for an obviously safe key.
-    """
-    parts: list[str] = [f"dp={dp_threshold}"]
-    for item in block.from_items:
-        source = (
-            item.table_name if item.is_base_table else signature(item.subquery)
-        )
-        on = "&".join(render_expr(c) for c in item.join_conjuncts)
-        preds = ",".join(sorted(item.required_predecessors() & local_aliases))
-        parts.append(f"{item.alias}|{item.join_type}|{source}|{on}|{preds}")
-    parts.append(
-        "where:" + "&".join(
-            sorted(render_expr(c) for c in block.where_conjuncts)
-        )
-    )
-    return "\n".join(parts)
 
 
 def _stopkey_cost(plan: Plan, fraction: float) -> float:

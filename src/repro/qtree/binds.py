@@ -57,15 +57,6 @@ def apply_peeks(tree: QueryNode, binds: dict) -> None:
             param.peeked = binds[param.key]
 
 
-def has_peeked_binds(tree: QueryNode) -> bool:
-    """True when any BindParam in *tree* carries a peeked value.
-
-    Peeked values steer selectivity estimation but are *not* part of the
-    structural signature, so cross-statement plan reuse (the subplan
-    memo) must be disabled for peeked statements."""
-    return any(param.has_peek for param in bind_params(tree))
-
-
 def clear_peeks(tree: QueryNode) -> None:
     """Remove peeked values from every BindParam in *tree*."""
     for param in bind_params(tree):

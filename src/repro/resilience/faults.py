@@ -3,9 +3,8 @@
 Every layer that can fail in production exposes a *named injection
 point*: each transformation (``transform.<name>``), the CBQT costing
 call (``cbqt.costing``), each executor operator
-(``executor.<PlanClass>``), the plan cache
-(``plan_cache.lookup`` / ``plan_cache.store``), and the subplan memo
-(``memo.lookup``).  Call sites invoke
+(``executor.<PlanClass>``), and the plan cache
+(``plan_cache.lookup`` / ``plan_cache.store``).  Call sites invoke
 :func:`check`, which is a single global-load-and-None-test when no
 injector is active — the harness costs nothing unless armed.
 
@@ -88,11 +87,6 @@ DURABILITY_POINTS = (
     "checkpoint.write",
 )
 
-#: subplan-memo injection points (:mod:`repro.optimizer.memo`):
-#: ``memo.lookup`` fires inside a memo lookup; the statement degrades to
-#: memo-off (fresh optimization) rather than failing or mis-planning
-MEMO_POINTS = ("memo.lookup",)
-
 
 def injection_points() -> list[str]:
     """Every registered injection point, in a stable order."""
@@ -105,7 +99,6 @@ def injection_points() -> list[str]:
     points.extend(f"executor.{name}" for name in EXECUTOR_OPERATORS)
     points.extend(f"executor.batch.{name}" for name in BATCH_OPERATORS)
     points.extend(DURABILITY_POINTS)
-    points.extend(MEMO_POINTS)
     return points
 
 

@@ -13,9 +13,7 @@ under the fault-injection contract: every name in ``VECTOR_OPERATORS``
 has a ``_vec_<name>`` method and an ``executor.batch.<name>`` entry in
 ``BATCH_OPERATORS`` (and vice versa), and the module must actually
 reference the ``executor.batch.`` control point so per-batch
-fault/cancel metering cannot be dropped wholesale.  The same totality
-applies to the subplan memo: every ``MEMO_POINTS`` entry must have a
-call site, and ``repro.optimizer.memo`` must reference ``memo.lookup``.
+fault/cancel metering cannot be dropped wholesale.
 """
 
 from __future__ import annotations
@@ -199,46 +197,6 @@ def _check_fault_points(project: Project) -> list[Finding]:
             relpath=vec_module.relpath, lineno=vec_node.lineno,
             scope=vec_module.name, detail="no-batch-control-point",
         ))
-    findings.extend(_check_memo_points(project))
-    return findings
-
-
-def _check_memo_points(project: Project) -> list[Finding]:
-    """MEMO_POINTS stays total: every declared ``memo.*`` point must be
-    referenced by a module other than its declaration (a real call site
-    exists), and the subplan-memo module must reference ``memo.lookup``
-    so its lookup path cannot silently drop the fault hook."""
-    findings = []
-    rule = "fault.point"
-    table = _find_operator_table(project, "MEMO_POINTS")
-    if table is None:
-        return findings
-    decl_module, decl_node, points = table
-    for point, lineno in points:
-        referenced = any(
-            module is not decl_module and _module_mentions(module, point)
-            for module in project.modules
-        )
-        if not referenced:
-            findings.append(Finding(
-                rule=rule,
-                message=f"MEMO_POINTS entry {point!r} has no call site "
-                        f"outside its declaration (stale fault point)",
-                relpath=decl_module.relpath, lineno=lineno,
-                scope="MEMO_POINTS", detail=f"stale-fault-point:{point}",
-            ))
-    for module in project.modules:
-        if module.name != "repro.optimizer.memo":
-            continue
-        if not _module_mentions(module, "memo.lookup"):
-            findings.append(Finding(
-                rule=rule,
-                message="repro.optimizer.memo never references the "
-                        "'memo.lookup' control point — memo fault "
-                        "injection is disconnected from the lookup path",
-                relpath=module.relpath, lineno=1,
-                scope=module.name, detail="no-memo-control-point",
-            ))
     return findings
 
 

@@ -2,13 +2,13 @@
 
 "Query Optimization in the Wild" (PAPERS.md) makes the operational
 point: optimizer *speedups* that silently change chosen plans are
-regressions in disguise.  The subplan memo (:mod:`repro.optimizer.memo`)
-must therefore land with proof that it changes no chosen plan.  This
-module renders each chosen plan as a *structural digest* — the operator
-``label()`` tree, which carries join order, access paths, and predicate
-placement but no cost/cardinality floats — and the ``plan-digest`` CLI
-verb compares the paper-query corpus's digests against a committed
-golden file (``tests/golden/plan_digests.json``).  Any diff fails CI.
+regressions in disguise, so a change that claims to leave plans alone
+must prove it.  This module renders each chosen plan as a *structural
+digest* — the operator ``label()`` tree, which carries join order,
+access paths, and predicate placement but no cost/cardinality floats —
+and the ``plan-digest`` CLI verb compares the paper-query corpus's
+digests against a committed golden file
+(``tests/golden/plan_digests.json``).  Any diff fails CI.
 
 Digests are normalized for generated-name numbering: transformations
 mint globally counted aliases (``vw$8``, ``gbp$2``, ``qb$17``), so the
@@ -16,10 +16,6 @@ same plan renders differently depending on how many optimizations ran
 before it in the process.  :func:`normalize_generated_names` renumbers
 every ``<prefix>$<n>`` token by order of first appearance, keeping
 distinct views distinct while making the digest machine-independent.
-
-The CI job runs the corpus twice — memo on and ``REPRO_MEMO=0`` — and
-diffs both against the same golden file, proving memo-on, memo-off, and
-the committed record all agree.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ For every query we record, under each config:
 
 * optimization effort — wall-clock seconds, the number of
   transformation states costed (the currency Table 2 reports), and the
-  number of *fresh join-order enumerations* the physical optimizer ran
-  (the deterministic optimizer-time currency: the subplan memo serves
-  repeated join cores without enumerating, so this is the cost a state
-  actually pays, where states-costed cannot see memo savings);
+  number of join-order enumerations the physical optimizer ran (the
+  deterministic optimizer-time currency: a block served from a cost
+  annotation is not enumerated again, so this is the plan work a state
+  actually pays, which states-costed cannot see);
 * execution effort — deterministic work units from the engine;
 * the plan (to detect "execution plans changed", the paper's affected-set
   criterion in §4.1);
@@ -52,8 +52,8 @@ class ConfigMeasurement:
 #: work units charged per transformation state costed by the optimizer
 OPT_STATE_COST = 40.0
 
-#: work units charged per fresh join-order enumeration; the memo's
-#: cross-state sharing shows up as a drop in this charge, never in
+#: work units charged per join-order enumeration; annotation reuse
+#: across states shows up as a drop in this charge, never in
 #: states-costed (which counts transformation decisions, not plan work)
 OPT_ENUMERATION_COST = 40.0
 

@@ -90,12 +90,11 @@ def optimization_time_increase_percent(
     outcomes: Sequence[QueryOutcome],
 ) -> float:
     """Aggregate optimization-effort increase of treated over baseline,
-    measured in *fresh join-order enumerations* — the deterministic
-    proxy for optimizer time.  Unlike states costed, this currency is
-    what the subplan memo (:mod:`repro.optimizer.memo`) actually saves:
-    states whose join cores were already enumerated under an earlier
-    state (or the baseline parse) hit the memo and pay nothing, so the
-    memo's cross-state sharing shows up here as a smaller increase.
+    measured in join-order enumerations — the deterministic proxy for
+    optimizer time.  Unlike states costed, this currency sees what cost
+    annotations (§3.4.2) save: a block that an earlier state of the same
+    search already optimized is reused and pays no enumeration, so the
+    treated run can even pay fewer than the baseline.
     Charged at :data:`~repro.workload.runner.OPT_ENUMERATION_COST` work
     units per enumeration when a benchmark needs absolute numbers."""
     base = sum(max(o.baseline.opt_enumerations, 1) for o in outcomes)

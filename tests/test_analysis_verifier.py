@@ -261,12 +261,7 @@ class TestQTreeInvariants:
 
 class TestPlanInvariants:
     def plan_of(self, db, sql):
-        # these tests corrupt the chosen plan in place; the subplan memo
-        # shares plan objects across statements, so a test that mutates
-        # one must opt out of sharing or it would poison the memo
-        return db.optimize_tree(
-            tree_of(db, sql), config=OptimizerConfig(plan_memo=False)
-        ).plan
+        return db.optimize_tree(tree_of(db, sql)).plan
 
     def check(self, plan, rule):
         diagnostics = PlanVerifier().verify(plan)

@@ -98,7 +98,6 @@ class TestHarnessMechanics:
         assert "cbqt.costing" in points
         assert "plan_cache.lookup" in points
         assert "plan_cache.store" in points
-        assert "memo.lookup" in points
 
 
 class TestDegradationLadder:

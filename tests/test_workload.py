@@ -164,8 +164,8 @@ class TestTopNAggregation:
         assert optimization_time_increase_percent(outcomes) == pytest.approx(50.0)
 
     def test_memo_served_treated_shows_as_decrease(self):
-        # a treated run whose join cores were all served from the subplan
-        # memo paid zero fresh enumerations: the increase goes negative
+        # a treated run that paid fewer join-order enumerations than its
+        # baseline (zero here) shows as a negative increase
         outcomes = [
             make_outcome("a", 1.0, 1.0, base_states=2, treated_states=0),
         ]

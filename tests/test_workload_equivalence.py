@@ -124,8 +124,7 @@ def test_plan_cost_monotone_over_children():
 
     Exact comparison: a parent's cost is its child's cost plus
     non-negative terms, and IEEE addition of a non-negative term never
-    lowers a float.  A private database, because the module fixture's
-    plan memo holds whatever the earlier tests left in it."""
+    lowers a float."""
     db, schema = _small_apps()
     generator = QueryGenerator(schema, seed=77)
 
