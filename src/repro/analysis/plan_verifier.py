@@ -22,9 +22,12 @@ crashes:
     that node's subtree or genuine outer correlations — never a sibling
     branch of the plan;
 ``plan.conjunct-placement``
-    every conjunct object is applied at exactly one operator (index
-    binds *consume* their covered conjuncts; re-applying one at the
-    join double-filters);
+    within one region of the plan, every conjunct object is applied at
+    exactly one operator (:meth:`~repro.optimizer.plans.Plan.applied_conjuncts`:
+    an index probe applies its covered conjuncts, so re-applying one at
+    the join, or as a post filter, double-filters).  A region is the plan
+    of one query block: a new one starts at each set-operation branch
+    and each view body, since blocks may share immutable conjuncts;
 ``plan.arity``
     operator output widths agree where computable (set-op branches,
     view bodies vs. declared column names);
@@ -80,8 +83,11 @@ class PlanVerifier:
         type(self).calls += 1
         diagnostics: list[Diagnostic] = []
         universe = _produced(root)
-        placements: dict[int, list[str]] = {}
-        self._visit(root, universe, frozenset(), placements, diagnostics, set())
+        placements: dict[tuple[int, int], list[str]] = {}
+        self._visit(
+            root, universe, frozenset(), placements, diagnostics, set(),
+            id(root),
+        )
         for node_labels in placements.values():
             if len(node_labels) > 1:
                 diagnostics.append(Diagnostic(
@@ -99,9 +105,10 @@ class PlanVerifier:
         plan: Plan,
         universe: frozenset[str],
         allowed_outer: frozenset[str],
-        placements: dict[int, list[str]],
+        placements: dict[tuple[int, int], list[str]],
         diagnostics: list[Diagnostic],
         visited: set[int],
+        region: int,
     ) -> None:
         # The annotation store legitimately shares identical sub-plans
         # within one tree; audit each object once or conjunct-placement
@@ -113,8 +120,10 @@ class PlanVerifier:
         self._check_aliases(plan, diagnostics)
         self._check_shape(plan, diagnostics)
         self._check_cross_branch(plan, universe, allowed_outer, diagnostics)
-        for conjunct in _applied_conjuncts(plan):
-            placements.setdefault(id(conjunct), []).append(plan.label())
+        for conjunct in plan.applied_conjuncts():
+            placements.setdefault((region, id(conjunct)), []).append(
+                plan.label()
+            )
         if isinstance(plan, Join):
             self._check_join(plan, diagnostics)
         if isinstance(plan, ViewScan):
@@ -125,10 +134,11 @@ class PlanVerifier:
                 | plan.lateral_refs
                 | {alias for alias, _column in plan.correlation_keys}
             )
+        starts_regions = isinstance(plan, (SetOp, ViewScan))
         for child in plan.children():
             self._visit(
                 child, universe, allowed_outer, placements, diagnostics,
-                visited,
+                visited, id(child) if starts_regions else region,
             )
 
     # -- per-node checks ----------------------------------------------------
@@ -266,15 +276,6 @@ class PlanVerifier:
                     "plan.shape", "error",
                     f"range bind on {column!r} does not follow the "
                     f"equality prefix {bound} of {index_columns}",
-                    node=plan.label(),
-                ))
-        applied = {id(c) for c in plan.post_conjuncts}
-        for conjunct in plan.covered_conjuncts:
-            if id(conjunct) in applied:
-                diagnostics.append(Diagnostic(
-                    "plan.conjunct-placement", "error",
-                    "covered conjunct "
-                    f"{render_expr(conjunct)!r} re-applied as post filter",
                     node=plan.label(),
                 ))
 
@@ -423,25 +424,6 @@ def _local_exprs(plan: Plan) -> list[ast.Expr]:
         return [o.expr for o in plan.order_by]
     if isinstance(plan, Project):
         return [i.expr for i in plan.select_items]
-    return []
-
-
-def _applied_conjuncts(plan: Plan) -> list[ast.Expr]:
-    """Filter conjuncts this operator *applies* (for exactly-once
-    placement).  Join keys, index binds and covered conjuncts are not
-    applications — binds consume their covered conjuncts."""
-    if isinstance(plan, TableScan):
-        return list(plan.conjuncts)
-    if isinstance(plan, IndexScan):
-        return list(plan.post_conjuncts)
-    if isinstance(plan, ViewScan):
-        return list(plan.conjuncts)
-    if isinstance(plan, NestedLoopJoin):
-        return list(plan.conjuncts)
-    if isinstance(plan, (HashJoin, MergeJoin)):
-        return list(plan.residual_conjuncts)
-    if isinstance(plan, Filter):
-        return list(plan.conjuncts)
     return []
 
 

@@ -20,9 +20,10 @@ This verifier checks the invariants every :class:`QueryBlock` /
     block / set-op names are unique across the whole tree (TargetRef
     paths address blocks by name);
 ``qtree.expr-placed-twice``
-    no conjunct object and no subquery expression sits at two places of
-    one tree: the optimizer and the plan verifier key conjuncts by
-    identity, and a subquery body is rewritten in place;
+    no block holds one conjunct object twice (the optimizer and the plan
+    verifier name a conjunct by its place in its block), and no subquery
+    expression sits at two places of one tree (its body is rewritten in
+    place);
 ``qtree.join-type`` / ``qtree.join-endpoints``
     join types are known and every alias a non-inner item's ON condition
     references exists in scope (the partial-order endpoints);
@@ -114,22 +115,21 @@ class QTreeVerifier:
         self, root: QueryNode, diagnostics: list[Diagnostic]
     ) -> None:
         # a conjunct may itself be a subquery expression: one set each
-        conjuncts: set[int] = set()
         subqueries: set[int] = set()
         for node in _iter_all_nodes(root):
             if not isinstance(node, QueryBlock):
                 continue
-            groups: list[tuple[set[int], Sequence[ast.Expr]]] = [
-                (conjuncts, node.all_conjuncts()),
-                (subqueries, node.subquery_exprs()),
+            groups: list[tuple[set[int], Sequence[ast.Expr], str]] = [
+                (set(), node.all_conjuncts(), "block"),
+                (subqueries, node.subquery_exprs(), "tree"),
             ]
-            for seen, exprs in groups:
+            for seen, exprs, scope in groups:
                 for expr in exprs:
                     if id(expr) in seen:
                         diagnostics.append(Diagnostic(
                             "qtree.expr-placed-twice", "error",
                             f"{render_expr(expr)!r} is one object placed at "
-                            "two places of the tree (copy it with clone())",
+                            f"two places of the {scope}",
                             node=node.name,
                         ))
                     seen.add(id(expr))

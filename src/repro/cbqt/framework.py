@@ -7,7 +7,7 @@ Drives the whole optimization of one query:
    find its objects, build each object's *alternative list* (including
    interleaved and juxtaposed combinations, §3.3), pick a search strategy
    from the state-space size (§3.2), and search — each state is costed by
-   deep-copying the query tree, applying the state's alternatives, and
+   copying the query tree, applying the state's alternatives, and
    invoking the physical optimizer with cost cut-off (§3.4.1) and cost
    annotation reuse (§3.4.2);
 3. transfer the winning state's directives onto the original tree and

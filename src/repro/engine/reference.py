@@ -256,7 +256,7 @@ class ReferenceEvaluator:
                     result.append(merged)
             return result
 
-        condition = ast.make_conjunction([c.clone() for c in item.join_conjuncts])
+        condition = ast.make_conjunction(item.join_conjuncts)
         cond_fn = (
             self._compiler.compile(condition) if condition is not None else None
         )

@@ -58,9 +58,12 @@ def base_table_paths(
         if not facts.has_subquery
     ]
     # a scan may evaluate what references no other alias of the block
-    truly_local = [f.conjunct for f in bindable if not f.mask & ~bit]
+    truly_local = [f for f in bindable if not f.mask & ~bit]
     paths: list[Plan] = [
-        _full_scan(alias, table, row_count, truly_local, stats, cost_model)
+        _full_scan(
+            alias, table, row_count, [f.conjunct for f in truly_local],
+            stats, cost_model,
+        )
     ]
     eq_binds, range_binds = _classify(alias, bit, bindable)
     for index in table.indexes:
@@ -92,19 +95,19 @@ def _full_scan(
 
 
 def _classify(alias: str, bit: int, bindable: list[ConjunctFacts]):
-    """Split bindable conjuncts into equality binds (column -> expr) and
-    range binds (column -> (op, expr, conjunct))."""
-    eq_binds: dict[str, tuple[ast.Expr, ast.Expr]] = {}
-    range_binds: dict[str, tuple[str, ast.Expr, ast.Expr]] = {}
+    """Split bindable conjuncts into equality binds (column -> (expr,
+    facts)) and range binds (column -> (op, expr, facts))."""
+    eq_binds: dict[str, tuple[ast.Expr, ConjunctFacts]] = {}
+    range_binds: dict[str, tuple[str, ast.Expr, ConjunctFacts]] = {}
     for facts in bindable:
         bound = _bind_of(alias, bit, facts)
         if bound is None:
             continue
         column, op, expr = bound
         if op == "=" and column not in eq_binds:
-            eq_binds[column] = (expr, facts.conjunct)
+            eq_binds[column] = (expr, facts)
         elif op in _RANGE_OPS and column not in range_binds:
-            range_binds[column] = (op, expr, facts.conjunct)
+            range_binds[column] = (op, expr, facts)
     return eq_binds, range_binds
 
 
@@ -135,34 +138,35 @@ def _index_path(
     table: TableDef,
     index,
     row_count: float,
-    eq_binds: dict[str, tuple[ast.Expr, ast.Expr]],
-    range_binds: dict[str, tuple[str, ast.Expr, ast.Expr]],
-    truly_local: list[ast.Expr],
+    eq_binds: dict[str, tuple[ast.Expr, ConjunctFacts]],
+    range_binds: dict[str, tuple[str, ast.Expr, ConjunctFacts]],
+    truly_local: list[ConjunctFacts],
     stats: StatsContext,
     cost_model: CostModel,
 ) -> Optional[IndexScan]:
     used_eq: list[tuple[str, ast.Expr]] = []
-    covered_conjuncts: list[ast.Expr] = []
+    covered: list[ConjunctFacts] = []
     range_bind: Optional[tuple[str, str, ast.Expr]] = None
     for column in index.columns:
         if column in eq_binds:
-            expr, conjunct = eq_binds[column]
+            expr, facts = eq_binds[column]
             used_eq.append((column, expr))
-            covered_conjuncts.append(conjunct)
+            covered.append(facts)
             continue
         if column in range_binds:
-            op, expr, conjunct = range_binds[column]
+            op, expr, facts = range_binds[column]
             range_bind = (column, op, expr)
-            covered_conjuncts.append(conjunct)
+            covered.append(facts)
         break
     if not used_eq and range_bind is None:
         return None
 
+    covered_conjuncts = [f.conjunct for f in covered]
     index_selectivity = conjuncts_selectivity(covered_conjuncts, stats)
     matched = max(row_count * index_selectivity, 0.0)
 
-    covered_ids = {id(c) for c in covered_conjuncts}
-    post = [c for c in truly_local if id(c) not in covered_ids]
+    covered_bits = sum(f.bit for f in covered)
+    post = [f.conjunct for f in truly_local if not f.bit & covered_bits]
     post_selectivity = conjuncts_selectivity(post, stats)
 
     cost = (

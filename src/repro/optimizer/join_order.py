@@ -89,8 +89,9 @@ class _Path(NamedTuple):
     deps: int
     #: aliases the path's rows expose
     aliases: int
-    #: ids of the conjuncts an index probe consumes (not re-applied)
-    covered: frozenset[int]
+    #: bits of the conjuncts the path itself applies
+    #: (:meth:`Plan.applied_conjuncts`); the join must not apply them again
+    applied: int
 
 
 class _Rel(NamedTuple):
@@ -157,7 +158,7 @@ class JoinOrderEnumerator:
                 path,
                 analysis.mask_of(_path_dependencies(path)) & ~analysis.outer,
                 analysis.mask_of(path.aliases),
-                frozenset(id(c) for c in getattr(path, "covered_conjuncts", ())),
+                analysis.conjunct_mask(path.applied_conjuncts()),
             )
             for path in relation.paths
         ]
@@ -320,10 +321,10 @@ class JoinOrderEnumerator:
                 continue
             right = path.plan
             right_cost, right_card = right.cost, right.cardinality
-            covered = path.covered
+            applied = path.applied
             residual = [
-                f for f in conjuncts if id(f.conjunct) not in covered
-            ] if covered else conjuncts
+                f for f in conjuncts if not f.bit & applied
+            ] if applied else conjuncts
 
             # nested loops
             sel = 1.0

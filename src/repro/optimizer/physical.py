@@ -261,7 +261,7 @@ class PhysicalOptimizer:
                     item.alias,
                     paths,
                     item.join_type,
-                    [c.clone() for c in item.join_conjuncts],
+                    item.join_conjuncts,
                     item.required_predecessors() & local_aliases,
                 )
             )

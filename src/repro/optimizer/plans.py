@@ -31,6 +31,15 @@ class Plan:
     def children(self) -> list["Plan"]:
         return []
 
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        """The block conjuncts this operator applies.  Each conjunct of a
+        block is applied at exactly one operator of its plan: the join
+        enumerator does not re-apply what an access path applies, and the
+        plan verifier checks it (``plan.conjunct-placement``).  Join keys
+        are not applications; an index probe applies its covered
+        conjuncts."""
+        return []
+
     def label(self) -> str:
         return type(self).__name__
 
@@ -68,6 +77,9 @@ class TableScan(Plan):
         self.table_name = table_name
         self.conjuncts = conjuncts
 
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.conjuncts
+
     def label(self) -> str:
         text = f"TABLE SCAN {self.table_name} {self.alias}"
         if self.conjuncts:
@@ -103,9 +115,12 @@ class IndexScan(Plan):
         self.eq_binds = eq_binds
         self.range_bind = range_bind
         self.post_conjuncts = post_conjuncts
-        #: the original block conjuncts this probe consumes; the join
-        #: enumerator must not re-apply them at the join node
+        #: the block conjuncts the binds apply; like the post conjuncts,
+        #: they are applied here and nowhere else (:meth:`applied_conjuncts`)
         self.covered_conjuncts = covered_conjuncts or []
+
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.covered_conjuncts + self.post_conjuncts
 
     def outer_aliases(self) -> set[str]:
         """Aliases the bind expressions depend on."""
@@ -167,6 +182,9 @@ class ViewScan(Plan):
     def children(self) -> list[Plan]:
         return [self.child]
 
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.conjuncts
+
     @property
     def is_lateral(self) -> bool:
         return bool(self.lateral_refs)
@@ -213,6 +231,9 @@ class NestedLoopJoin(Join):
         super().__init__(left, right, join_type, cost, cardinality)
         self.conjuncts = conjuncts
 
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.conjuncts
+
     def label(self) -> str:
         text = f"NESTED LOOPS {self.join_type}"
         if self.conjuncts:
@@ -238,6 +259,9 @@ class HashJoin(Join):
         self.left_keys = left_keys
         self.right_keys = right_keys
         self.residual_conjuncts = residual_conjuncts
+
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.residual_conjuncts
 
     def label(self) -> str:
         keys = ", ".join(
@@ -266,6 +290,9 @@ class MergeJoin(Join):
         self.right_keys = right_keys
         self.residual_conjuncts = residual_conjuncts
 
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.residual_conjuncts
+
     def label(self) -> str:
         keys = ", ".join(
             f"{render_expr(l)}={render_expr(r)}"
@@ -287,6 +314,9 @@ class Filter(Plan):
 
     def children(self) -> list[Plan]:
         return [self.child]
+
+    def applied_conjuncts(self) -> list[ast.Expr]:
+        return self.conjuncts
 
     def label(self) -> str:
         return "FILTER [" + " AND ".join(map(render_expr, self.conjuncts)) + "]"

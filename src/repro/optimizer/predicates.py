@@ -12,12 +12,19 @@ hands the result out as integers: every alias of the block is one bit,
 and a reference to anything outside the block (an outer-correlation
 parameter) is the single extra :attr:`~PredicateAnalysis.outer` bit.
 
-An analysis lives exactly as long as one block optimisation.  Facts are
-keyed by conjunct identity and the alias bits are the block's own, so an
-analysis must never be kept across CBQT states or statements.  The
-structural part of a walk — the qualified column references and the
-subqueries of a conjunct — is the conjunct's own cached
-:attr:`~repro.sql.ast.Expr.facts`, shared by every state copy.
+Each conjunct is a bit too (:attr:`ConjunctFacts.bit`), numbered in the
+order the conjuncts are first analysed, so the join enumerator can ask
+"does this access path already apply that conjunct?" with one ``&``.
+Facts are keyed by the conjunct object: expressions are immutable and may
+be shared by several blocks of one tree, but within one block a conjunct
+object is its position (see :mod:`repro.sql.ast`).
+
+An analysis lives exactly as long as one block optimisation: the alias
+and conjunct bits are the block's own, so an analysis must never be kept
+across blocks, CBQT states or statements.  The structural part of a walk
+— the qualified column references and the subqueries of a conjunct — is
+the conjunct's own cached :attr:`~repro.sql.ast.Expr.facts`, shared by
+every state copy.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ _NODE_CORRELATION_REFS = methodcaller("correlation_refs")
 class ConjunctFacts:
     """The analysis of one conjunct.
 
+    ``bit`` is the conjunct's own bit in its block, dense from 1.
     ``mask`` is the set of block aliases the conjunct references,
     including the correlation references of subquery bodies inside it.
     For a comparison ``left <op> right`` the masks of the two sides are
@@ -46,13 +54,14 @@ class ConjunctFacts:
     """
 
     __slots__ = (
-        "conjunct", "mask", "has_subquery", "equi", "left_mask", "right_mask",
-        "selectivity", "key_ndvs",
+        "conjunct", "bit", "mask", "has_subquery", "equi", "left_mask",
+        "right_mask", "selectivity", "key_ndvs",
     )
 
-    def __init__(self, conjunct: ast.Expr, mask: int, has_subquery: bool,
-                 left_mask: int, right_mask: int):
+    def __init__(self, conjunct: ast.Expr, bit: int, mask: int,
+                 has_subquery: bool, left_mask: int, right_mask: int):
         self.conjunct = conjunct
+        self.bit = bit
         self.mask = mask
         self.has_subquery = has_subquery
         self.equi = (
@@ -84,7 +93,7 @@ class PredicateAnalysis:
         #: the bit standing for every alias that is not this block's
         self.outer = 1 << len(self.bits)
         self._correlation_refs = correlation_refs
-        self._facts: dict[int, ConjunctFacts] = {}
+        self._facts: dict[ast.Expr, ConjunctFacts] = {}
 
     def mask_of(self, aliases: Iterable[str]) -> int:
         """Bitmask of *aliases*; unknown ones collapse into ``outer``."""
@@ -99,7 +108,7 @@ class PredicateAnalysis:
 
     def facts(self, conjunct: ast.Expr) -> ConjunctFacts:
         """The (memoised) analysis of *conjunct*."""
-        facts = self._facts.get(id(conjunct))
+        facts = self._facts.get(conjunct)
         if facts is None:
             if isinstance(conjunct, ast.BinOp) and conjunct.is_comparison:
                 left, left_sub = self._scan(conjunct.left)
@@ -108,11 +117,18 @@ class PredicateAnalysis:
             else:
                 left = right = 0
                 mask, has_subquery = self._scan(conjunct)
-            # the facts keep the conjunct alive, so its id stays unique
-            facts = self._facts[id(conjunct)] = ConjunctFacts(
-                conjunct, mask & ~self.outer, has_subquery, left, right
+            facts = self._facts[conjunct] = ConjunctFacts(
+                conjunct, 1 << len(self._facts), mask & ~self.outer,
+                has_subquery, left, right,
             )
         return facts
+
+    def conjunct_mask(self, conjuncts: Iterable[ast.Expr]) -> int:
+        """The bits of *conjuncts*."""
+        mask = 0
+        for conjunct in conjuncts:
+            mask |= self.facts(conjunct).bit
+        return mask
 
     def _scan(self, expr: ast.Expr) -> tuple[int, bool]:
         """(alias mask incl. ``outer``, contains a subquery) of *expr* —

@@ -14,22 +14,21 @@ describes for non-commutative joins (§2.1.1, §2.2.3).
 
 Set operations are :class:`SetOpBlock` nodes whose branches are query
 blocks (or nested set ops).  Both node kinds can appear as a derived-table
-source or subquery body, and both support :meth:`clone` — the deep-copy
+source or subquery body, and both support :meth:`clone` — the copy
 capability §3.1 lists as a framework component.  A clone copies every
 block, from-item and list, so a transformation may rewrite them in
 place; it shares each expression that holds no mutable node
 (:func:`repro.sql.ast.shared_copy`), since expressions are immutable.
-That suits a copy that goes into a tree of its own, such as a CBQT
-state.  A rewrite that puts the copy into the same tree as the original,
-or several copies into one tree, takes ``clone(deep=True)``: one
-conjunct object must not sit at two places of a tree (the optimizer and
-the plan verifier key conjuncts by identity).
+The copy may go into a tree of its own, such as a CBQT state, or into
+the tree of the original, as OR-expansion's branches do: a conjunct is
+named by its place in its block, so two blocks may hold one conjunct
+object (see :mod:`repro.sql.ast`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..catalog.schema import TableDef
 from ..errors import TransformError
@@ -117,18 +116,17 @@ class FromItem:
                     refs.add(col.qualifier)
         return refs
 
-    def clone(self, deep: bool = False) -> "FromItem":
-        copy = _expr_copier(deep)
+    def clone(self) -> "FromItem":
         source = (
             self.source if isinstance(self.source, str)
-            else self.source.clone(deep)
+            else self.source.clone()
         )
         return FromItem(
             self.alias,
             source,
             self.table,
             self.join_type,
-            [copy(c) for c in self.join_conjuncts],
+            [ast.shared_copy(c) for c in self.join_conjuncts],
         )
 
     @classmethod
@@ -147,9 +145,8 @@ class QueryNode:
     def output_columns(self) -> list[str]:
         raise NotImplementedError
 
-    def clone(self, deep: bool = False) -> "QueryNode":
-        """A copy for a tree of its own; ``deep=True`` shares no
-        expression node, for a copy placed in the original's tree."""
+    def clone(self) -> "QueryNode":
+        """A copy of every node and list; immutable expressions are shared."""
         raise NotImplementedError
 
     def to_sql(self) -> str:
@@ -341,16 +338,13 @@ class QueryBlock(QueryNode):
 
     # -- copying -------------------------------------------------------------
 
-    def clone(self, deep: bool = False) -> "QueryBlock":
-        copy = _expr_copier(deep)
+    def clone(self) -> "QueryBlock":
+        copy = ast.shared_copy
         return QueryBlock(
             name=self.name,
-            select_items=[
-                ast.SelectItem(copy(item.expr), item.alias)
-                for item in self.select_items
-            ],
+            select_items=[item.clone() for item in self.select_items],
             distinct=self.distinct,
-            from_items=[item.clone(deep) for item in self.from_items],
+            from_items=[item.clone() for item in self.from_items],
             where_conjuncts=[copy(c) for c in self.where_conjuncts],
             group_by=[copy(g) for g in self.group_by],
             grouping_sets=(
@@ -359,7 +353,7 @@ class QueryBlock(QueryNode):
                 else None
             ),
             having_conjuncts=[copy(h) for h in self.having_conjuncts],
-            order_by=_copy_order_by(self.order_by, copy),
+            order_by=[o.clone() for o in self.order_by],
             rownum_limit=self.rownum_limit,
         )
 
@@ -405,32 +399,16 @@ class SetOpBlock(QueryNode):
     def is_correlated(self) -> bool:
         return bool(self.correlation_refs())
 
-    def clone(self, deep: bool = False) -> "SetOpBlock":
+    def clone(self) -> "SetOpBlock":
         return SetOpBlock(
             self.op,
-            [b.clone(deep) for b in self.branches],
-            _copy_order_by(self.order_by, _expr_copier(deep)),
+            [b.clone() for b in self.branches],
+            [o.clone() for o in self.order_by],
             name=self.name,
         )
 
     def __repr__(self) -> str:
         return f"SetOpBlock({self.op}, {len(self.branches)} branches)"
-
-
-def _expr_copier(deep: bool) -> Callable[[ast.Expr], ast.Expr]:
-    """How a block clone copies an expression: deep, or shared when it
-    holds no mutable node."""
-    return _deep_copy if deep else ast.shared_copy
-
-
-def _deep_copy(expr: ast.Expr) -> ast.Expr:
-    return expr.clone()
-
-
-def _copy_order_by(
-    order_by: list[ast.OrderItem], copy: Callable[[ast.Expr], ast.Expr]
-) -> list[ast.OrderItem]:
-    return [ast.OrderItem(copy(o.expr), o.descending) for o in order_by]
 
 
 def _scan_expr(

@@ -19,22 +19,25 @@ records a value on the query tree being optimized) and
 :attr:`SubqueryExpr.query` (transformations rewrite a built subquery
 body in place, or swap it).  A subtree that holds a mutable node is
 always copied; every other subtree is a value that any number of query
-trees may share.  The cost-based transformation framework copies the
+trees, and any number of blocks of one tree, may share.  The cost-based transformation framework copies the
 query tree once per search state, so this is what makes a state cheap:
 
-* the container clones (:meth:`SelectItem.clone`,
-  :meth:`OrderItem.clone`, and the query-tree ``QueryBlock.clone`` and
-  ``FromItem.clone``) take :func:`shared_copy` of each expression — the
-  expression itself unless it holds a mutable node;
+* :meth:`Expr.clone` is :func:`shared_copy`: the expression itself
+  unless it holds a mutable node.  The container clones
+  (:meth:`SelectItem.clone`, :meth:`OrderItem.clone`, and the
+  query-tree ``QueryBlock.clone`` and ``FromItem.clone``) take it of
+  each expression;
 * :func:`repro.qtree.exprutil.map_expr` returns an unchanged immutable
   subtree as it is and rebuilds only the path from the root to a
-  replaced node;
-* an explicit :meth:`Expr.clone` stays a deep copy, down through
-  subquery bodies, and so does ``QueryBlock.clone(deep=True)``.  A
-  rewrite that duplicates a conjunct or a block into the tree it came
-  from takes one of these, so identity-keyed maps never see one object
-  at two places of a tree; in paranoid mode the query-tree verifier
-  checks this (``qtree.expr-placed-twice``).
+  replaced node.
+
+So one immutable conjunct may sit in several blocks of one tree, for
+instance in each branch of an OR-expansion.  Within one block a conjunct
+object *is* its position: the optimizer and the plan verifier key a
+conjunct by (block, conjunct), so a block must not hold one object
+twice.  A :class:`SubqueryExpr` is never shared, not even between the
+blocks of one tree, since its body is rewritten in place.  In paranoid
+mode the query-tree verifier checks both (``qtree.expr-placed-twice``).
 
 Each node works out what it needs to know about its subtree once, on
 first use, and keeps it:
@@ -108,10 +111,8 @@ class Expr:
         return iter(())
 
     def clone(self) -> "Expr":
-        """A deep copy: no expression node of the result, nor of a
-        subquery body in it, is shared with *self* (a parser statement in
-        a subquery is: statements are never changed)."""
-        raise NotImplementedError
+        """The copy a query tree of its own takes: :func:`shared_copy`."""
+        return shared_copy(self)
 
     @property
     def facts(self) -> ExprFacts:
@@ -160,9 +161,6 @@ class ColumnRef(Expr):
         self.qualifier = qualifier.lower() if qualifier else None
         self.name = name.lower()
 
-    def clone(self) -> "ColumnRef":
-        return ColumnRef(self.qualifier, self.name)
-
     @property
     def facts(self) -> ExprFacts:
         # built per call: a cached copy would hold a cycle back to self
@@ -189,9 +187,6 @@ class Literal(Expr):
 
     def __init__(self, value: object):
         self.value = value
-
-    def clone(self) -> "Literal":
-        return Literal(self.value)
 
     @property
     def facts(self) -> ExprFacts:
@@ -264,9 +259,6 @@ class Star(Expr):
     def __init__(self, qualifier: Optional[str] = None):
         self.qualifier = qualifier.lower() if qualifier else None
 
-    def clone(self) -> "Star":
-        return Star(self.qualifier)
-
     @property
     def facts(self) -> ExprFacts:
         return NO_FACTS
@@ -289,9 +281,6 @@ class BinOp(Expr):
         yield self.left
         yield self.right
 
-    def clone(self) -> "BinOp":
-        return BinOp(self.op, self.left.clone(), self.right.clone())
-
     @property
     def is_comparison(self) -> bool:
         return self.op in COMPARISON_OPERATORS
@@ -311,9 +300,6 @@ class And(Expr):
     def children(self) -> Iterator[Expr]:
         return iter(self.operands)
 
-    def clone(self) -> "And":
-        return And(op.clone() for op in self.operands)
-
     def __repr__(self) -> str:
         return f"And({self.operands!r})"
 
@@ -329,9 +315,6 @@ class Or(Expr):
     def children(self) -> Iterator[Expr]:
         return iter(self.operands)
 
-    def clone(self) -> "Or":
-        return Or(op.clone() for op in self.operands)
-
     def __repr__(self) -> str:
         return f"Or({self.operands!r})"
 
@@ -344,9 +327,6 @@ class Not(Expr):
 
     def children(self) -> Iterator[Expr]:
         yield self.operand
-
-    def clone(self) -> "Not":
-        return Not(self.operand.clone())
 
     def __repr__(self) -> str:
         return f"Not({self.operand!r})"
@@ -363,9 +343,6 @@ class IsNull(Expr):
 
     def children(self) -> Iterator[Expr]:
         yield self.operand
-
-    def clone(self) -> "IsNull":
-        return IsNull(self.operand.clone(), self.negated)
 
     def __repr__(self) -> str:
         neg = " NOT" if self.negated else ""
@@ -388,11 +365,6 @@ class Between(Expr):
         yield self.low
         yield self.high
 
-    def clone(self) -> "Between":
-        return Between(
-            self.operand.clone(), self.low.clone(), self.high.clone(), self.negated
-        )
-
 
 class Like(Expr):
     """``expr [NOT] LIKE pattern``."""
@@ -407,9 +379,6 @@ class Like(Expr):
     def children(self) -> Iterator[Expr]:
         yield self.operand
         yield self.pattern
-
-    def clone(self) -> "Like":
-        return Like(self.operand.clone(), self.pattern.clone(), self.negated)
 
 
 class InList(Expr):
@@ -426,11 +395,6 @@ class InList(Expr):
         yield self.operand
         yield from self.items
 
-    def clone(self) -> "InList":
-        return InList(
-            self.operand.clone(), (i.clone() for i in self.items), self.negated
-        )
-
 
 class RowExpr(Expr):
     """A parenthesised row of expressions, e.g. ``(a, b) IN (SELECT ...)``."""
@@ -442,9 +406,6 @@ class RowExpr(Expr):
 
     def children(self) -> Iterator[Expr]:
         return iter(self.items)
-
-    def clone(self) -> "RowExpr":
-        return RowExpr(i.clone() for i in self.items)
 
 
 class FuncCall(Expr):
@@ -466,9 +427,6 @@ class FuncCall(Expr):
     def children(self) -> Iterator[Expr]:
         return iter(self.args)
 
-    def clone(self) -> "FuncCall":
-        return FuncCall(self.name, (a.clone() for a in self.args), self.distinct)
-
     @property
     def is_aggregate(self) -> bool:
         return self.name in AGGREGATE_FUNCTIONS
@@ -489,9 +447,6 @@ class WindowFrame:
     kind: str                      # "ROWS" or "RANGE"
     start: object = "UNBOUNDED PRECEDING"
     end: object = "CURRENT ROW"
-
-    def clone(self) -> "WindowFrame":
-        return WindowFrame(self.kind, self.start, self.end)
 
 
 class WindowFunc(Expr):
@@ -517,14 +472,6 @@ class WindowFunc(Expr):
         for item in self.order_by:
             yield item.expr
 
-    def clone(self) -> "WindowFunc":
-        return WindowFunc(
-            self.func.clone(),
-            (e.clone() for e in self.partition_by),
-            (OrderItem(o.expr.clone(), o.descending) for o in self.order_by),
-            self.frame.clone() if self.frame else None,
-        )
-
 
 class Case(Expr):
     """Searched CASE expression."""
@@ -541,12 +488,6 @@ class Case(Expr):
             yield result
         if self.default is not None:
             yield self.default
-
-    def clone(self) -> "Case":
-        return Case(
-            ((c.clone(), r.clone()) for c, r in self.whens),
-            self.default.clone() if self.default else None,
-        )
 
 
 class SubqueryExpr(Expr):
@@ -565,7 +506,7 @@ class SubqueryExpr(Expr):
     replaces it with a built :class:`repro.qtree.blocks.QueryBlock`.
     It is one of the two mutable parts of an expression: transformations
     rewrite a built body in place or swap it, so a SubqueryExpr is never
-    shared between trees.
+    shared, not even between two blocks of one tree.
     """
 
     __slots__ = ("kind", "query", "left", "op", "quantifier", "negated")
@@ -595,21 +536,6 @@ class SubqueryExpr(Expr):
         # built per call: a cached copy would hold a cycle back to self
         left = self.left.facts if self.left is not None else NO_FACTS
         return ExprFacts((self,) + left.subqueries, left.column_refs, True)
-
-    def clone(self) -> "SubqueryExpr":
-        # a built body is copied deep; a parser statement has no clone()
-        query = (
-            self.query.clone(deep=True) if hasattr(self.query, "clone")
-            else self.query
-        )
-        return SubqueryExpr(
-            self.kind,
-            query,
-            self.left.clone() if self.left is not None else None,
-            self.op,
-            self.quantifier,
-            self.negated,
-        )
 
     def __repr__(self) -> str:
         return f"SubqueryExpr({self.kind}, negated={self.negated})"

@@ -3,7 +3,7 @@
 A :class:`Transformation` can *find* the objects it applies to in a query
 tree and *apply* itself to one of them.  Objects are addressed by
 :class:`TargetRef` — a stable path (block name + kind + key) that survives
-the deep copies the cost-based framework makes, because
+the copies the cost-based framework makes, because
 :meth:`QueryBlock.clone` preserves block names, from-item aliases, and
 conjunct order.
 

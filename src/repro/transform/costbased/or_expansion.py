@@ -80,8 +80,7 @@ def expand_or(block: QueryBlock, disjunction: ast.Or) -> SetOpBlock:
     """Build the UNION ALL of per-disjunct copies of *block*."""
     branches: list[QueryNode] = []
     for i, disjunct in enumerate(disjunction.operands):
-        # the branches share one tree: none may share a conjunct object
-        branch = block.clone(deep=True)
+        branch = block.clone()
         # Block names must stay unique within one tree so TargetRef paths
         # of later transformations resolve unambiguously.
         for nested in branch.iter_blocks():

@@ -97,60 +97,11 @@ class TestContainerClones:
         assert all(c is not holder for c in copy.where_conjuncts)
         assert copy.to_sql() == root.to_sql()
 
-    def test_explicit_clone_stays_deep(self, hr_db):
-        root = hr_db.parse(self.SQL)
-        conjunct = root.where_conjuncts[0]
-        clone = conjunct.clone()
-        assert clone is not conjunct
-        assert clone.left is not conjunct.left
-        assert clone.right is not conjunct.right
-
-    def test_explicit_clone_copies_a_subquery_body_deep(self, hr_db):
-        root = hr_db.parse(SUBQUERY_SQL)
-        holder = next(c for c in root.where_conjuncts if ast.contains_subquery(c))
-        clone = holder.clone()
-        assert not _expr_ids(holder) & _expr_ids(clone)
-        assert clone.facts.subqueries[0].query.to_sql() == \
-            holder.facts.subqueries[0].query.to_sql()
-
-    def test_deep_block_clone_shares_no_expression(self, hr_db):
-        root = hr_db.parse(SUBQUERY_SQL)
-        copy = root.clone(deep=True)
-        assert not _expr_ids(root) & _expr_ids(copy)
-        assert copy.to_sql() == root.to_sql()
-
-
-#: a derived table, a subquery predicate and plain conjuncts
-SUBQUERY_SQL = (
-    "SELECT v.dept_id, e.emp_id FROM employees e, "
-    "(SELECT d.dept_id FROM departments d WHERE d.loc_id > 1) v "
-    "WHERE e.dept_id = v.dept_id AND e.salary > 10 AND "
-    "e.job_id IN (SELECT j.job_id FROM jobs j WHERE j.min_salary < 5000)"
-)
-
-
-def _expr_ids(root) -> set[int]:
-    """The ids of every expression node of *root* (a query node or an
-    expression), subquery bodies and derived tables included."""
-    if isinstance(root, ast.Expr):
-        ids = {id(n) for n in root.walk()}
-        for sub in root.facts.subqueries:
-            ids |= _expr_ids(sub.query)
-        return ids
-    ids = set()
-    for block in root.iter_blocks():
-        exprs = [item.expr for item in block.select_items]
-        exprs += block.all_conjuncts() + block.group_by
-        exprs += [o.expr for o in block.order_by]
-        for expr in exprs:
-            ids.update(id(n) for n in expr.walk())
-    return ids
-
 
 class TestCopiesWithinOneTree:
-    """OR-expansion puts k copies of a block into one tree: they must not
-    share a conjunct object, which the optimizer and the plan verifier
-    key by identity."""
+    """OR-expansion puts k copies of a block into one tree.  A conjunct is
+    named by its place in its block, so the copies share their immutable
+    conjuncts."""
 
     SQL = (
         "SELECT e.emp_id FROM employees e, departments d "
@@ -164,7 +115,13 @@ class TestCopiesWithinOneTree:
         (target,) = transformation.find_targets(root)
         expanded = transformation.apply(root.clone(), target)
         first, second = expanded.branches
-        assert not _expr_ids(first) & _expr_ids(second)
+        join, salary, disjunction = root.where_conjuncts
+        loc, job = disjunction.operands
+        # these compare by identity: the branches hold the same objects
+        assert first.where_conjuncts == [join, salary, loc]
+        assert second.where_conjuncts[:3] == [join, salary, job]
+        (lnnvl,) = second.where_conjuncts[3:]
+        assert lnnvl.name == "LNNVL" and lnnvl.args == [loc]
         assert QTreeVerifier(hr_db.catalog).verify(expanded) == []
 
     def test_or_expansion_state_is_costed_without_a_diagnostic(self, hr_db):
@@ -350,9 +307,9 @@ def test_guard_catches_in_place_change_of_a_shared_conjunct(monkeypatch):
     assert "t.b > 1" in diagnostic.message and "t.b < 1" in diagnostic.message
 
 
-class _PlaceBlockTwice(Transformation):
-    """Breaks the contract: puts a sharing clone of the block into the
-    tree next to the block itself, so both hold the same conjuncts."""
+class _PlaceConjunctTwice(Transformation):
+    """Breaks the contract: appends a block's first conjunct to the same
+    block again, so one object sits at two places of one block."""
 
     name = "place_twice"
     cost_based = True
@@ -363,8 +320,26 @@ class _PlaceBlockTwice(Transformation):
         return []
 
     def apply(self, root, target):
+        root.where_conjuncts.append(root.where_conjuncts[0])
+        return root
+
+
+class _ShareSubqueryExpr(Transformation):
+    """Breaks the contract: unions the block with a copy that holds the
+    block's own subquery expression, which two blocks must never share."""
+
+    name = "share_subquery"
+    cost_based = True
+
+    def find_targets(self, root):
+        if isinstance(root, QueryBlock) and root.subquery_exprs():
+            return [TargetRef(root.name, "block", 0)]
+        return []
+
+    def apply(self, root, target):
         copy = root.clone()
         copy.name = f"{root.name}$copy"
+        copy.where_conjuncts = list(root.where_conjuncts)
         return SetOpBlock("UNION ALL", [root, copy])
 
 
@@ -373,14 +348,26 @@ def test_verifier_catches_a_conjunct_placed_twice(monkeypatch):
     db.execute_ddl("CREATE TABLE t (a INT, b INT)")
     db.insert("t", [{"a": i, "b": i % 3} for i in range(20)])
     db.analyze()
-    monkeypatch.setattr(
-        framework, "build_cost_based_transformations",
-        lambda catalog: [_PlaceBlockTwice(catalog)],
-    )
-    with pytest.raises(VerificationError) as caught:
-        db.optimize("SELECT t.a FROM t WHERE t.b > 1", PARANOID)
-    (diagnostic,) = caught.value.diagnostics
-    assert diagnostic.rule == "qtree.expr-placed-twice"
-    assert diagnostic.transformation.startswith("place_twice(")
-    assert diagnostic.state == (1,)
-    assert "t.b > 1" in diagnostic.message
+    cases = [
+        (_PlaceConjunctTwice, "SELECT t.a FROM t WHERE t.b > 1",
+         "'t.b > 1' is one object placed at two places of the block"),
+        (_ShareSubqueryExpr,
+         "SELECT t.a FROM t WHERE t.b > (SELECT AVG(u.b) FROM t u)",
+         "'(SELECT AVG(u.b) AS col_1 FROM t u)' is one object placed at "
+         "two places of the tree"),
+    ]
+    for transformation, sql, message in cases:
+        monkeypatch.setattr(
+            framework, "build_cost_based_transformations",
+            lambda catalog: [transformation(catalog)],
+        )
+        with pytest.raises(VerificationError) as caught:
+            db.optimize(sql, PARANOID)
+        (diagnostic,) = [
+            d for d in caught.value.diagnostics
+            if d.rule == "qtree.expr-placed-twice"
+        ]
+        assert diagnostic.transformation.startswith(f"{transformation.name}(")
+        assert diagnostic.state == (1,)
+        assert diagnostic.message == message
+

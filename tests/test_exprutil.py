@@ -87,12 +87,20 @@ class TestSubstituteColumns:
         assert render_expr(result) == "9 + t.b"
 
     def test_substitution_clones_replacement(self):
+        # an immutable replacement is shared; one holding a bind (whose
+        # peek is per tree) is copied
         replacement = qualified("c * 2")
         mapping = {("t", "a"): replacement}
         one = exprutil.substitute_columns(qualified("a"), mapping)
         two = exprutil.substitute_columns(qualified("a"), mapping)
-        assert one is not two
-        assert render_expr(one) == render_expr(two) == "t.c * 2"
+        assert one is two is replacement
+        with_bind = qualified("c * :k")
+        mapping = {("t", "a"): with_bind}
+        one = exprutil.substitute_columns(qualified("a"), mapping)
+        two = exprutil.substitute_columns(qualified("a"), mapping)
+        assert one is not two and one is not with_bind
+        assert one.left is with_bind.left
+        assert render_expr(one) == render_expr(two) == "t.c * :k"
 
     def test_unmapped_columns_untouched(self):
         result = exprutil.substitute_columns(
