@@ -78,13 +78,6 @@ def foreign_key(
     return skewed
 
 
-def uniform_float(low: float, high: float) -> Callable[[random.Random, int], float]:
-    def gen(rng: random.Random, _row_index: int) -> float:
-        return round(rng.uniform(low, high), 2)
-
-    return gen
-
-
 def categorical(
     values: Sequence[object], weights: Optional[Sequence[float]] = None
 ) -> Callable[[random.Random, int], object]:

@@ -48,7 +48,13 @@ from ..resilience import (
 )
 from ..sql import ast
 from ..transform import apply_heuristic_phase
-from ..transform.base import TargetRef, Transformation, find_block
+from ..transform.base import (
+    TargetRef,
+    Transformation,
+    apply_everywhere,
+    apply_guarded,
+    find_block,
+)
 from ..transform.costbased import (
     GroupByViewMerging,
     JoinPredicatePushdown,
@@ -79,18 +85,12 @@ class CbqtConfig(Stamped):
     disabled_transformations: frozenset[str] = frozenset()
     #: force one search strategy for every transformation (None = auto)
     search_strategy: Optional[str] = None
-    exhaustive_threshold: int = 4
-    linear_threshold: int = 10
-    two_pass_total_threshold: int = 16
-    iterative_max_states: int = 32
-    iterative_restarts: int = 4
     #: abort costing a state once it exceeds the incumbent best (§3.4.1)
     cost_cutoff: bool = True
     #: interleave unnesting with view merging (§3.3.1)
     interleaving: bool = True
     #: juxtapose view merging with JPPD (§3.3.2)
     juxtaposition: bool = True
-    seed: int = 0
     #: paranoid mode: run the query-tree and plan verifiers around every
     #: transformation step and CBQT search state, raising
     #: :class:`~repro.errors.VerificationError` on any violation
@@ -103,6 +103,9 @@ class Alternative:
 
     label: str
     apply: Optional[ApplyFn]  # None for the untransformed alternative
+    #: the transformations *apply* performs, in order (their fault
+    #: points fire and the first is blamed); empty when untransformed
+    names: tuple[str, ...] = ()
 
 
 @dataclass
@@ -169,9 +172,10 @@ class OptimizationReport:
 
 
 class CbqtFramework:
-    """One instance per Database; stateless across queries apart from the
-    shared physical optimizer (whose annotation store the framework clears
-    per query, keeping it only across states — §3.4.3)."""
+    """Optimizes one statement: ``Database._optimize_attempt`` builds one
+    per attempt, around that attempt's physical optimizer (whose
+    annotation store the framework clears per query, keeping it only
+    across states — §3.4.3)."""
 
     def __init__(
         self,
@@ -249,16 +253,8 @@ class CbqtFramework:
     # -- phases ---------------------------------------------------------------
 
     def _heuristic_phase(self, root: QueryNode) -> QueryNode:
-        enabled = None
-        if self.config.disabled_transformations:
-            from ..transform.pipeline import HEURISTIC_ORDER
-
-            enabled = {
-                cls.name for cls in HEURISTIC_ORDER
-                if cls.name not in self.config.disabled_transformations
-            }
         return apply_heuristic_phase(
-            root, self._catalog, enabled,
+            root, self._catalog, self.config.disabled_transformations,
             auditor=self._auditor, tracer=self._tracer,
         )
 
@@ -273,13 +269,8 @@ class CbqtFramework:
         if not objects:
             return root
 
-        config = self.config
-        strategy_name = config.search_strategy or choose_strategy(
-            len(objects),
-            total_objects,
-            config.exhaustive_threshold,
-            config.linear_threshold,
-            config.two_pass_total_threshold,
+        strategy_name = self.config.search_strategy or choose_strategy(
+            len(objects), total_objects
         )
         tracer = self._tracer
         if tracer is not None:
@@ -318,7 +309,7 @@ class CbqtFramework:
         report.total_states += result.states_evaluated
 
         if any(result.best_state):
-            root = self._apply_state(root, objects, result.best_state, audit=True)
+            root = self._apply_state(root, objects, result.best_state)
             decision.applied_labels = [
                 objects[i].alternatives[alt].label
                 for i, alt in enumerate(result.best_state)
@@ -405,9 +396,7 @@ class CbqtFramework:
             # a budget abort is the §3.4.1 cut-off, not infeasibility.
             plan: Optional[Plan] = None
             try:
-                candidate = self._apply_state(
-                    root.clone(), objects, state, audit=True
-                )
+                candidate = self._apply_state(root.clone(), objects, state)
                 plan = self._physical.optimize(candidate, budget)
             except CostBudgetExceeded:
                 prune = "cost-cutoff"
@@ -432,17 +421,7 @@ class CbqtFramework:
             return plan.cost
 
         alternatives = [len(obj.alternatives) for obj in objects]
-        strategy = STRATEGIES[strategy_name]
-        if strategy_name == "iterative":
-            result = strategy(
-                alternatives,
-                cost_fn,
-                max_states=config.iterative_max_states,
-                restarts=config.iterative_restarts,
-                seed=config.seed,
-            )
-        else:
-            result = strategy(alternatives, cost_fn)
+        result = STRATEGIES[strategy_name](alternatives, cost_fn)
         if (
             tracer is not None
             and governor is not None
@@ -460,7 +439,6 @@ class CbqtFramework:
         root: QueryNode,
         objects: list[TransformObject],
         state: tuple[int, ...],
-        audit: bool = False,
     ) -> QueryNode:
         chosen = [
             (obj, alt) for obj, alt in zip(objects, state) if alt
@@ -471,16 +449,10 @@ class CbqtFramework:
         for obj, alt in chosen:
             alternative = obj.alternatives[alt]
             assert alternative.apply is not None
-            # label "unnest_view+groupby_merge(subquery[0]@qb$1)" →
-            # injection points transform.unnest_view, transform.groupby_merge
-            names = alternative.label.split("(", 1)[0].split("+")
-            with blame(names[0]):
-                for name in names:
-                    faults.check(f"transform.{name}")
-                root = alternative.apply(root)
-                if audit and self._auditor is not None:
-                    # blame the exact alternative and state bitvector
-                    self._auditor.audit_tree(root, alternative.label, state)
+            root = apply_guarded(
+                alternative.names, alternative.apply, root,
+                self._auditor, alternative.label, state,
+            )
         return root
 
     # -- object/alternative construction -----------------------------------------
@@ -507,6 +479,7 @@ class CbqtFramework:
         base = Alternative(
             f"{transformation.name}({target.describe()})",
             lambda node, t=transformation, tg=target: t.apply(node, tg),
+            (transformation.name,),
         )
         alternatives = [base]
 
@@ -557,7 +530,9 @@ class CbqtFramework:
             return node
 
         return Alternative(
-            f"unnest_view+groupby_merge({target.describe()})", apply
+            f"{unnest.name}+{merger.name}({target.describe()})",
+            apply,
+            (unnest.name, merger.name),
         )
 
     def _juxtaposed_jppd(
@@ -573,8 +548,9 @@ class CbqtFramework:
         if not applicable:
             return None
         return Alternative(
-            f"jppd({target.describe()})",
+            f"{jppd.name}({target.describe()})",
             lambda node, t=jppd, tg=target: t.apply(node, tg),
+            (jppd.name,),
         )
 
     # -- heuristic mode (§4.1) -------------------------------------------------------
@@ -586,109 +562,69 @@ class CbqtFramework:
         report: OptimizationReport,
     ) -> QueryNode:
         for transformation in transformations:
-            if isinstance(transformation, UnnestSubqueryToView):
-                root = self._heuristic_unnest(transformation, root, report)
-            elif isinstance(transformation, GroupByViewMerging):
-                root = self._apply_all_targets(transformation, root, report)
-            elif isinstance(transformation, JoinPredicatePushdown):
-                root = self._heuristic_jppd(transformation, root, report)
-            # group-by placement, predicate pullup, set-op conversion,
-            # OR expansion and join factorization have no heuristic form.
-        return root
-
-    def _heuristic_unnest(
-        self,
-        transformation: UnnestSubqueryToView,
-        root: QueryNode,
-        report: OptimizationReport,
-    ) -> QueryNode:
-        applied = []
-        for target in reversed(transformation.find_targets(root)):
-            block = find_block(root, target.block)
-            if block is None:
+            name = transformation.name
+            if isinstance(transformation, GroupByViewMerging):
+                # merged whenever legal
+                root, applied = apply_everywhere(
+                    transformation, root, self._auditor
+                )
+            elif isinstance(
+                transformation, (UnnestSubqueryToView, JoinPredicatePushdown)
+            ):
+                targets = transformation.find_targets(root)
+                if isinstance(transformation, UnnestSubqueryToView):
+                    wanted = self._pre10g_unnest
+                    # last conjunct first: unnesting one removes it from
+                    # the WHERE list without shifting the earlier ones
+                    targets.reverse()
+                else:
+                    wanted = self._jppd_index_motivated
+                applied = []
+                for target in targets:
+                    if not wanted(root, target):
+                        continue
+                    root = apply_guarded(
+                        (name,),
+                        lambda node, t=transformation, tg=target: t.apply(node, tg),
+                        root,
+                        self._auditor,
+                    )
+                    applied.append(target)
+            else:
+                # group-by placement, predicate pullup, set-op conversion,
+                # OR expansion and join factorization have no heuristic form
                 continue
-            conjunct = block.where_conjuncts[int(target.key)]  # type: ignore[arg-type]
-            sub_block = _subquery_block_of(conjunct)
-            if sub_block is None:
+            if not applied:
                 continue
-            if pre10g_heuristic_says_unnest(block, sub_block, self._catalog):
-                with blame(transformation.name):
-                    faults.check(f"transform.{transformation.name}")
-                    root = transformation.apply(root, target)
-                    if self._auditor is not None:
-                        self._auditor.audit_tree(root, transformation.name)
-                applied.append(target.describe())
-        if applied:
             report.decisions.append(
                 TransformationDecision(
-                    transformation.name, len(applied), "heuristic",
+                    name, len(applied), "heuristic",
                     1, (1,) * len(applied), math.nan, math.nan,
-                    applied,
+                    [target.describe() for target in applied],
                 )
             )
-            root = self._heuristic_phase(root)
+            if not isinstance(transformation, JoinPredicatePushdown):
+                root = self._heuristic_phase(root)
         return root
 
-    def _apply_all_targets(
-        self,
-        transformation: Transformation,
-        root: QueryNode,
-        report: OptimizationReport,
-    ) -> QueryNode:
-        applied = []
-        for _ in range(16):
-            targets = transformation.find_targets(root)
-            if not targets:
-                break
-            with blame(transformation.name):
-                faults.check(f"transform.{transformation.name}")
-                root = transformation.apply(root, targets[0])
-                if self._auditor is not None:
-                    self._auditor.audit_tree(root, transformation.name)
-            applied.append(targets[0].describe())
-        if applied:
-            report.decisions.append(
-                TransformationDecision(
-                    transformation.name, len(applied), "heuristic",
-                    1, (1,) * len(applied), math.nan, math.nan, applied,
-                )
-            )
-            root = self._heuristic_phase(root)
-        return root
+    def _pre10g_unnest(self, root: QueryNode, target: TargetRef) -> bool:
+        """Heuristic unnesting: the pre-10g rule decides."""
+        block = find_block(root, target.block)
+        if block is None:
+            return False
+        conjunct = block.where_conjuncts[int(target.key)]  # type: ignore[arg-type]
+        sub_block = _subquery_block_of(conjunct)
+        return sub_block is not None and pre10g_heuristic_says_unnest(
+            block, sub_block, self._catalog
+        )
 
-    def _heuristic_jppd(
-        self,
-        transformation: JoinPredicatePushdown,
-        root: QueryNode,
-        report: OptimizationReport,
-    ) -> QueryNode:
+    def _jppd_index_motivated(self, root: QueryNode, target: TargetRef) -> bool:
         """Heuristic JPPD: push only when an index on an underlying base
         column would turn the lateral join into an index NL probe."""
-        applied = []
-        for target in transformation.find_targets(root):
-            block = find_block(root, target.block)
-            if block is None:
-                continue
-            item = block.from_item(str(target.key))
-            if not self._jppd_index_motivated(item):
-                continue
-            with blame(transformation.name):
-                faults.check(f"transform.{transformation.name}")
-                root = transformation.apply(root, target)
-                if self._auditor is not None:
-                    self._auditor.audit_tree(root, transformation.name)
-            applied.append(target.describe())
-        if applied:
-            report.decisions.append(
-                TransformationDecision(
-                    transformation.name, len(applied), "heuristic",
-                    1, (1,) * len(applied), math.nan, math.nan, applied,
-                )
-            )
-        return root
-
-    def _jppd_index_motivated(self, item) -> bool:
-        node = item.subquery
+        outer = find_block(root, target.block)
+        if outer is None:
+            return False
+        node = outer.from_item(str(target.key)).subquery
         for block in node.iter_blocks():
             if not isinstance(block, QueryBlock):
                 continue

@@ -163,7 +163,7 @@ def iterative_search(
     return memo.result()
 
 
-#: strategy name -> callable(alternatives, cost_fn, **kwargs)
+#: strategy name -> callable(alternatives, cost_fn)
 STRATEGIES = {
     "exhaustive": exhaustive_search,
     "linear": linear_search,
@@ -172,21 +172,21 @@ STRATEGIES = {
 }
 
 
-def choose_strategy(
-    n_objects: int,
-    total_objects_in_query: int,
-    exhaustive_threshold: int = 4,
-    linear_threshold: int = 10,
-    two_pass_total_threshold: int = 16,
-) -> str:
+#: object counts at which :func:`choose_strategy` switches strategy
+EXHAUSTIVE_THRESHOLD = 4
+LINEAR_THRESHOLD = 10
+TWO_PASS_TOTAL_THRESHOLD = 16
+
+
+def choose_strategy(n_objects: int, total_objects_in_query: int) -> str:
     """Automatic strategy selection (§3.2): exhaustive for few objects,
     linear past a threshold, iterative in between, and two-pass for all
     transformations when the query's total transformable-element count is
     itself past a (larger) threshold."""
-    if total_objects_in_query > two_pass_total_threshold:
+    if total_objects_in_query > TWO_PASS_TOTAL_THRESHOLD:
         return "two_pass"
-    if n_objects <= exhaustive_threshold:
+    if n_objects <= EXHAUSTIVE_THRESHOLD:
         return "exhaustive"
-    if n_objects > linear_threshold:
+    if n_objects > LINEAR_THRESHOLD:
         return "linear"
     return "iterative"

@@ -885,11 +885,15 @@ SUBCOMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
     shell = Shell()
-    if argv and argv[0] in SUBCOMMANDS:
-        return SUBCOMMANDS[argv[0]](argv[1:], shell)
-    for path in argv:
-        with open(path) as handle:
-            shell.run_script(handle.read())
+    try:
+        if argv and argv[0] in SUBCOMMANDS:
+            return SUBCOMMANDS[argv[0]](argv[1:], shell)
+        for path in argv:
+            with open(path) as handle:
+                shell.run_script(handle.read())
+    except OSError as exc:  # a script that cannot be read
+        shell.echo(f"error: {exc}")
+        return 1
     if not sys.stdin.isatty():
         shell.run_script(sys.stdin.read())
         return 0

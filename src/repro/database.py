@@ -69,6 +69,7 @@ from .resilience import (
     activate,
 )
 from .sql import ast, parse_query, parse_statement
+from .transform.pipeline import TRANSFORMATION_NAMES
 
 #: execution engines selectable per database / per statement; "vector"
 #: (the default) runs the batch engine, "row" is the classic
@@ -86,22 +87,6 @@ def _default_executor_mode() -> str:
             f"REPRO_EXEC={mode!r} is not one of {'/'.join(EXECUTOR_MODES)}"
         )
     return mode
-
-
-_TRANSFORMATION_NAMES: Optional[frozenset] = None
-
-
-def _all_transformation_names() -> frozenset:
-    """Every registered transformation name (computed once; the ladder
-    consults this on each optimize call)."""
-    global _TRANSFORMATION_NAMES
-    if _TRANSFORMATION_NAMES is None:
-        from .transform.pipeline import COST_BASED_ORDER, HEURISTIC_ORDER
-
-        _TRANSFORMATION_NAMES = frozenset(
-            cls.name for cls in HEURISTIC_ORDER + COST_BASED_ORDER
-        )
-    return _TRANSFORMATION_NAMES
 
 
 @dataclass
@@ -608,14 +593,13 @@ class Database:
             self._record_optimized(optimized)
             return optimized
 
-        all_names = _all_transformation_names()
         quarantine = self.quarantine
         signature = None
         quarantined: list[str] = []
         if quarantine.dirty():
             signature = " ".join(sql.split()) if sql else "<tree>"
             quarantined = sorted(
-                name for name in all_names
+                name for name in TRANSFORMATION_NAMES
                 if quarantine.is_quarantined(name, signature)
             )
         base_disabled = config.cbqt.disabled_transformations
@@ -645,7 +629,7 @@ class Database:
                 enabled = False
                 disabled = base_disabled | frozenset(blamed)
             else:
-                enabled, disabled = False, all_names
+                enabled, disabled = False, TRANSFORMATION_NAMES
             if (
                 enabled == config.cbqt.enabled
                 and disabled == config.cbqt.disabled_transformations

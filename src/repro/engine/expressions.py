@@ -176,10 +176,6 @@ class ExpressionCompiler:
             )
         return method(expr)
 
-    def compile_predicate(self, expr: ast.Expr) -> Callable[[Row], bool]:
-        compiled = self.compile(expr)
-        return lambda row: compiled(row) is True
-
     # -- leaves ---------------------------------------------------------------
 
     def _compile_columnref(self, expr: ast.ColumnRef) -> CompiledExpr:

@@ -19,19 +19,6 @@ from .expressions import Accumulator, Row, agg_key, grouping_key
 AggSpec = tuple[ast.FuncCall, Optional[Callable[[Row], object]], bool]
 
 
-class _NullKey:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-
-def _hashable(value: object) -> object:
-    return _NullKey() if value is None else value
-
-
 def evaluate_group_by(
     rows: Sequence[Row],
     group_exprs: Sequence[ast.Expr],
@@ -60,7 +47,7 @@ def evaluate_group_by(
         for row in rows:
             if on_row is not None:
                 on_row()
-            key = tuple(_hashable(fn(row)) for fn in set_fns)
+            key = tuple(fn(row) for fn in set_fns)
             group = groups.get(key)
             if group is None:
                 group = {

@@ -458,24 +458,6 @@ def _row_equal(left: tuple, right: tuple) -> object:
     return None if saw_null else True
 
 
-class _NullKey:
-    """Sentinel making NULL group keys hashable and equal to each other."""
-
-    _instance: Optional["_NullKey"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NULL"
-
-
-def _group_key(value: object) -> object:
-    return _NullKey() if value is None else value
-
-
 class _SortKey:
     """Total order over possibly-NULL values: Oracle places NULLs last in
     ascending order and first in descending order."""

@@ -95,9 +95,6 @@ class IndexData:
             self._sorted_keys = sorted(self._hash)
             self._sorted_dirty = False
 
-    def lookup_eq(self, key: tuple) -> list[int]:
-        return self._hash.get(key, [])
-
     def scan(
         self,
         prefix: tuple,

@@ -30,7 +30,7 @@ def compute_window(
 
     partitions: dict[tuple, list[Row]] = {}
     for row in rows:
-        pkey = tuple(_hashable(fn(row)) for fn in part_fns)
+        pkey = tuple(fn(row) for fn in part_fns)
         partitions.setdefault(pkey, []).append(row)
 
     for partition in partitions.values():
@@ -122,18 +122,3 @@ def _accumulate(acc: Accumulator, arg_fn, row: Row) -> None:
         acc.add_star()
     else:
         acc.add(arg_fn(row))
-
-
-class _NullKey:
-    """Hashable stand-in for NULL partition keys."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-
-def _hashable(value: object) -> object:
-    return _NullKey() if value is None else value

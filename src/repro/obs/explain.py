@@ -9,7 +9,8 @@ Two jobs:
   quarantine, governor, and sanitizer annotations stay consistent);
 * :func:`format_explain_analyze` renders a plan with per-operator
   estimated rows, actual rows, invocation counts, wall-clock self-time,
-  and Q-error, plus a plan-level max-Q-error summary — the
+  and Q-error (``q=-`` where the consumer stops early), plus a
+  plan-level max-Q-error summary — the
   estimated-vs-actual feedback loop industrial optimizers audit plans
   with.
 """
@@ -18,10 +19,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from ..optimizer.plans import Limit, NestedLoopJoin, Plan
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cbqt.framework import OptimizationReport
     from ..engine.executor import ExecStats
-    from ..optimizer.plans import Plan
 
 
 def annotation_lines(
@@ -55,37 +57,57 @@ def qerror(estimated: float, actual: float) -> float:
     return max(est / act, act / est)
 
 
+#: nested-loop joins that stop probing their inner at the first match
+EARLY_STOP_JOINS = ("SEMI", "ANTI", "ANTI_NA")
+
+
 def operator_profiles(plan: "Plan", stats: "ExecStats") -> list[dict]:
     """Per-operator estimated-vs-actual profile, pre-order.
 
-    Each entry: ``plan``, ``depth``, ``label``, ``estimated``,
-    ``actual``, ``qerror``, ``invocations``, ``self_seconds`` (inclusive
-    time minus direct children's inclusive time; 0.0 when the run was
-    not profiled)."""
+    Each entry: ``plan``, ``depth``, ``label``, ``estimated`` (rows per
+    invocation), ``actual`` (rows over all invocations), ``qerror``,
+    ``invocations``, ``self_seconds`` (inclusive time minus direct
+    children's inclusive time; 0.0 when the run was not profiled).
+
+    The Q-error compares ``estimated`` times the invocations with
+    ``actual``.  It is None for an operator whose consumer stops reading
+    early — the inner of a SEMI/ANTI nested loop, anything under COUNT
+    STOPKEY — since its actual rows say nothing about its estimate."""
     profiles: list[dict] = []
     node_rows = stats.node_rows
     node_invocations = stats.node_invocations
     node_seconds = stats.node_seconds
 
-    def visit(node: "Plan", depth: int) -> None:
+    def visit(node: "Plan", depth: int, scored: bool) -> None:
         children = node.children()
         inclusive = node_seconds.get(id(node), 0.0)
         child_time = sum(node_seconds.get(id(c), 0.0) for c in children)
         actual = node_rows.get(id(node), 0)
+        invocations = node_invocations.get(id(node), 0)
         profiles.append({
             "plan": node,
             "depth": depth,
             "label": node.label(),
             "estimated": node.cardinality,
             "actual": actual,
-            "qerror": qerror(node.cardinality, actual),
-            "invocations": node_invocations.get(id(node), 0),
+            "qerror": (
+                qerror(node.cardinality * max(invocations, 1), actual)
+                if scored else None
+            ),
+            "invocations": invocations,
             "self_seconds": max(inclusive - child_time, 0.0),
         })
+        scored = scored and not isinstance(node, Limit)
+        early_stopped = (
+            node.right
+            if isinstance(node, NestedLoopJoin)
+            and node.join_type in EARLY_STOP_JOINS
+            else None
+        )
         for child in children:
-            visit(child, depth + 1)
+            visit(child, depth + 1, scored and child is not early_stopped)
 
-    visit(plan, 0)
+    visit(plan, 0, True)
     return profiles
 
 
@@ -101,14 +123,20 @@ def format_explain_analyze(
     profiles = operator_profiles(plan, stats)
     lines = []
     for profile in profiles:
+        q = profile["qerror"]
         detail = (
             f"est={profile['estimated']:.0f} actual={profile['actual']} "
-            f"q={profile['qerror']:.2f} invocations={profile['invocations']}"
+            f"q={'-' if q is None else f'{q:.2f}'} "
+            f"invocations={profile['invocations']}"
         )
         if timing:
             detail += f" self={profile['self_seconds'] * 1000:.1f}ms"
         lines.append("  " * profile["depth"] + f"{profile['label']}  ({detail})")
-    worst = max(profiles, key=lambda p: p["qerror"])
+    # the root is always scored
+    worst = max(
+        (p for p in profiles if p["qerror"] is not None),
+        key=lambda p: p["qerror"],
+    )
     lines.append(
         f"-- max q-error: {worst['qerror']:.2f} at {worst['label']}"
     )

@@ -7,6 +7,15 @@ subquery bodies first — reusing cost annotations for sub-trees it has
 seen before, and supports a cost budget (cost cut-off, §3.4.1): when the
 accumulated cost of a state exceeds the best complete state found so far,
 optimization of that state aborts.
+
+The budget must never abort a state that would have come out cheaper, so
+it reaches a nested plan only where that plan's whole cost is a summand
+of the state's cost: set-operation branches, non-lateral views and the
+join enumeration of a block without ROWNUM, and select-list subqueries.
+Everything the cost model scales down gets no budget: a lateral view
+body (charged per probe times outer rows, which can be below one), a
+subquery in a filter (charged per row times a cache factor), and the
+joins and views under COUNT STOPKEY (charged by the consumed fraction).
 """
 
 from __future__ import annotations
@@ -56,13 +65,11 @@ class OptimizerCounters:
     """Bookkeeping the benchmarks report (Table 1 uses blocks_optimized)."""
 
     blocks_optimized: int = 0
-    annotation_hits: int = 0
     #: join-order enumerations run (an annotation hit runs none)
     join_orders_considered: int = 0
 
     def reset(self) -> None:
         self.blocks_optimized = 0
-        self.annotation_hits = 0
         self.join_orders_considered = 0
 
 
@@ -153,7 +160,6 @@ class PhysicalOptimizer:
         sig = signature(node)
         cached = self.annotations.get(sig)
         if cached is not None:
-            self.counters.annotation_hits += 1
             return cached
         if isinstance(node, SetOpBlock):
             plan = self._optimize_setop(node, budget)
@@ -228,6 +234,8 @@ class PhysicalOptimizer:
                 alias_stats[item.alias] = self._table_stats(item.table_name)
         stats_ctx = BlockStatsContext(alias_stats)
 
+        # COUNT STOPKEY charges the join below it by the fraction consumed
+        join_budget = budget if block.rownum_limit is None else None
         for item in block.from_items:
             if item.is_base_table:
                 # WHERE conjuncts referencing a null-supplying (LEFT) item
@@ -251,7 +259,9 @@ class PhysicalOptimizer:
                 )
             else:
                 paths = [
-                    self._plan_view(item, analysis, plain, stats_ctx, budget)
+                    self._plan_view(
+                        item, analysis, plain, stats_ctx, join_budget
+                    )
                 ]
                 alias_stats[item.alias] = self._derive_view_stats(
                     item.subquery, paths[0]
@@ -298,9 +308,7 @@ class PhysicalOptimizer:
             )
 
         for facts in subquery_conjuncts:
-            pending.append(
-                self._subquery_filter(facts, analysis, stats_ctx, budget)
-            )
+            pending.append(self._subquery_filter(facts, analysis, stats_ctx))
 
         enumerator = JoinOrderEnumerator(
             relations,
@@ -309,7 +317,7 @@ class PhysicalOptimizer:
             stats_ctx,
             cm,
             self._dp_threshold,
-            budget,
+            join_budget,
             analysis,
         )
         plan = enumerator.best_plan()
@@ -366,7 +374,6 @@ class PhysicalOptimizer:
         stats_ctx: BlockStatsContext,
         budget: Optional[float],
     ) -> ViewScan:
-        subplan = self._optimize_node(item.subquery, budget)
         correlation_keys = sorted({
             (ref.qualifier, ref.name)
             for ref in self._correlation_refs(item.subquery)
@@ -376,6 +383,10 @@ class PhysicalOptimizer:
             qualifier for qualifier, _name in correlation_keys
             if qualifier in analysis.bits
         }
+        # a lateral body is charged per probe: no budget (module docstring)
+        subplan = self._optimize_node(
+            item.subquery, None if lateral_refs else budget
+        )
         # the WHERE conjuncts over this view alone filter its output
         bit = analysis.bits[item.alias]
         local = [
@@ -442,10 +453,11 @@ class PhysicalOptimizer:
         facts: ConjunctFacts,
         analysis: PredicateAnalysis,
         stats_ctx: BlockStatsContext,
-        budget: Optional[float],
     ) -> PendingFilter:
         """Cost a conjunct containing subqueries, evaluated row-at-a-time
-        (tuple iteration semantics) with correlation-value caching."""
+        (tuple iteration semantics) with correlation-value caching.  The
+        subqueries are planned without a budget: their cost is scaled by
+        the cache factor (module docstring)."""
         cm = self._cm
         per_row = cm.predicate_eval
         conjunct = facts.conjunct
@@ -454,7 +466,7 @@ class PhysicalOptimizer:
                 continue
             if not isinstance(node.query, QueryNode):
                 raise OptimizerError("subquery was not built into a query tree")
-            subplan = self._optimize_node(node.query, budget)
+            subplan = self._optimize_node(node.query, None)
             corr = [
                 ref for ref in self._correlation_refs(node.query)
                 if ref.qualifier in analysis.bits

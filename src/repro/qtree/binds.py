@@ -57,12 +57,6 @@ def apply_peeks(tree: QueryNode, binds: dict) -> None:
             param.peeked = binds[param.key]
 
 
-def clear_peeks(tree: QueryNode) -> None:
-    """Remove peeked values from every BindParam in *tree*."""
-    for param in bind_params(tree):
-        param.peeked = ast.NO_PEEK
-
-
 def referenced_tables(tree: QueryNode) -> set[str]:
     """Base-table names referenced anywhere in *tree* (plan-cache
     dependency set)."""

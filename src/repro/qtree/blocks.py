@@ -201,12 +201,6 @@ class QueryBlock(QueryNode):
     # -- structure accessors ---------------------------------------------
 
     @property
-    def has_aggregation(self) -> bool:
-        """True if this block groups (explicitly or via aggregate-only
-        select list) or deduplicates."""
-        return bool(self.group_by) or self.distinct or self.has_aggregates
-
-    @property
     def has_aggregates(self) -> bool:
         return any(
             ast.contains_aggregate(item.expr) for item in self.select_items

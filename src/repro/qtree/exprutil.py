@@ -219,14 +219,6 @@ def aliases_referenced(expr: ast.Expr) -> set[str]:
     return result
 
 
-def single_alias_of(expr: ast.Expr) -> Optional[str]:
-    """If *expr* references exactly one alias, return it; else None."""
-    refs = aliases_referenced(expr)
-    if len(refs) == 1:
-        return next(iter(refs))
-    return None
-
-
 def equality_columns(conjunct: ast.Expr) -> Optional[tuple[ast.ColumnRef, ast.ColumnRef]]:
     """If *conjunct* is ``col = col`` between two different aliases,
     return the pair; else None."""

@@ -787,13 +787,6 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(contains_aggregate(child) for child in expr.children())
 
 
-def bind_params_in(expr: Expr) -> Iterator[BindParam]:
-    """Yield every BindParam in *expr*, not descending into subqueries."""
-    for node in expr.walk():
-        if isinstance(node, BindParam):
-            yield node
-
-
 def contains_subquery(expr: Expr) -> bool:
     """True if *expr* contains any SubqueryExpr node."""
     return bool(expr.facts.subqueries)

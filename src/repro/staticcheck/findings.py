@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.diagnostics import Diagnostic
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -33,14 +31,6 @@ class Finding:
     @property
     def location(self) -> str:
         return f"{self.relpath}:{self.lineno}"
-
-    def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(
-            rule=self.rule,
-            severity=self.severity,
-            message=f"{self.location}: {self.message}",
-            node=self.scope,
-        )
 
     def format(self) -> str:
         return f"{self.location}: {self.rule} [{self.scope}]: {self.message}"

@@ -91,10 +91,6 @@ class ClassInfo:
     lock_attrs: dict[str, str] = field(default_factory=dict)  # attr -> kind
     allow_raise: bool = False
 
-    @property
-    def qualname(self) -> str:
-        return f"{self.module.name}.{self.name}"
-
 
 @dataclass
 class ModuleInfo:

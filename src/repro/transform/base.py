@@ -10,18 +10,23 @@ conjunct order.
 Heuristic transformations (§2.1) are applied imperatively wherever legal
 via :func:`apply_everywhere`.  Cost-based transformations (§2.2) expose
 their objects to the CBQT framework, which enumerates transformation
-states over them (§3.2).
+states over them (§3.2).  Every rewrite of either kind goes through
+:func:`apply_guarded`, the one place that fires the ``transform.<name>``
+fault points, blames failures and audits the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..catalog.schema import Catalog
 from ..errors import TransformError
 from ..qtree.blocks import FromItem, QueryBlock, QueryNode, SetOpBlock
 from ..resilience import blame, faults
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..analysis import TransformationAuditor
 
 
 @dataclass(frozen=True)
@@ -126,17 +131,50 @@ class Transformation:
         return f"<{type(self).__name__} {self.name}>"
 
 
-def apply_everywhere(transformation: Transformation, root: QueryNode) -> QueryNode:
+def apply_guarded(
+    names: Sequence[str],
+    apply: Callable[[QueryNode], QueryNode],
+    root: QueryNode,
+    auditor: "Optional[TransformationAuditor]" = None,
+    label: Optional[str] = None,
+    state: Optional[tuple[int, ...]] = None,
+) -> QueryNode:
+    """Apply one rewrite that the transformations *names* make together.
+
+    Fires each name's ``transform.<name>`` fault point, blames anything
+    escaping on the first name, and — in paranoid mode, when an *auditor*
+    is given — verifies the result, attributing a violation to *label*
+    (default: the first name) and the CBQT *state*."""
+    with blame(names[0]):
+        for name in names:
+            faults.check(f"transform.{name}")
+        root = apply(root)
+        if auditor is not None:
+            auditor.audit_tree(root, label or names[0], state)
+    return root
+
+
+def apply_everywhere(
+    transformation: Transformation,
+    root: QueryNode,
+    auditor: "Optional[TransformationAuditor]" = None,
+) -> tuple[QueryNode, list[TargetRef]]:
     """Imperatively apply a heuristic transformation until no targets
     remain (a transformation may expose new targets — e.g. merging one
-    view un-nests another)."""
+    view un-nests another).  Returns the new root and the targets
+    applied, in order."""
+    applied: list[TargetRef] = []
     for _round in range(64):  # safety bound against non-terminating rules
         targets = transformation.find_targets(root)
         if not targets:
-            return root
-        with blame(transformation.name):
-            faults.check(f"transform.{transformation.name}")
-            root = transformation.apply(root, targets[0])
+            return root, applied
+        root = apply_guarded(
+            (transformation.name,),
+            lambda node, tg=targets[0]: transformation.apply(node, tg),
+            root,
+            auditor,
+        )
+        applied.append(targets[0])
     raise TransformError(
         f"{transformation.name}: did not reach a fixpoint after 64 rounds"
     )

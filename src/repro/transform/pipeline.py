@@ -70,6 +70,12 @@ COST_BASED_ORDER = (
 )
 
 
+#: every transformation's name, both phases
+TRANSFORMATION_NAMES = frozenset(
+    cls.name for cls in HEURISTIC_ORDER + COST_BASED_ORDER
+)
+
+
 def build_heuristic_transformations(catalog: Catalog) -> list[Transformation]:
     return [cls(catalog) for cls in HEURISTIC_ORDER]
 
@@ -81,14 +87,14 @@ def build_cost_based_transformations(catalog: Catalog) -> list[Transformation]:
 def apply_heuristic_phase(
     root: QueryNode,
     catalog: Catalog,
-    enabled: set[str] | None = None,
+    disabled: frozenset[str] = frozenset(),
     rounds: int = 4,
     auditor: "Optional[TransformationAuditor]" = None,
     tracer: "Optional[Tracer]" = None,
 ) -> QueryNode:
     """Run the heuristic transformations to a fixpoint.
 
-    *enabled* restricts to the named transformations (None = all).
+    The *disabled* transformations are skipped.
     When an *auditor* is given (paranoid mode), the query tree is
     re-verified after every transformation that rewrote it, so a
     violation is blamed on the exact heuristic rule that introduced it.
@@ -98,31 +104,31 @@ def apply_heuristic_phase(
     """
     transformations = [
         t for t in build_heuristic_transformations(catalog)
-        if enabled is None or t.name in enabled
+        if t.name not in disabled
     ]
     for round_no in range(rounds):
         changed = False
         for transformation in transformations:
-            targets = transformation.find_targets(root)
-            if targets:
-                if tracer is not None:
-                    from ..qtree import signature
+            if tracer is not None:
+                from ..qtree import signature
 
-                    before_sig = signature(root)
-                root = apply_everywhere(transformation, root)
-                changed = True
-                if tracer is not None:
-                    tracer.emit(
-                        "heuristic.rule",
-                        rule=transformation.name,
-                        round=round_no,
-                        targets=len(targets),
-                        before=before_sig,
-                        after=signature(root),
-                    )
-                if auditor is not None:
-                    with blame(transformation.name):
-                        auditor.audit_tree(root, transformation.name)
+                before_sig = signature(root)
+            root, applied = apply_everywhere(transformation, root)
+            if not applied:
+                continue
+            changed = True
+            if tracer is not None:
+                tracer.emit(
+                    "heuristic.rule",
+                    rule=transformation.name,
+                    round=round_no,
+                    targets=len(applied),
+                    before=before_sig,
+                    after=signature(root),
+                )
+            if auditor is not None:
+                with blame(transformation.name):
+                    auditor.audit_tree(root, transformation.name)
         if not changed:
             break
     return root

@@ -214,6 +214,23 @@ class TestSubcommands:
         assert main(["explain"]) == 2
         assert main(["explain", "SELECT x FROM missing"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["shell"],
+        ["cache-stats", "no-such-script.sql"],
+        ["explain", "SELECT 1 FROM dual", "no-such-script.sql"],
+        ["metrics", "--json", "no-such-script.sql"],
+    ])
+    def test_missing_script_is_an_error_not_a_traceback(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert argv[-1] in out
+
 
 class TestDurabilityVerbs:
     """``repro checkpoint`` / ``repro recover`` over a real data dir."""

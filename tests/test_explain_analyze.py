@@ -17,8 +17,15 @@ from repro.obs import operator_profiles, qerror
 from .paper_queries import ALL_RUNNABLE
 
 OPERATOR_LINE = re.compile(
-    r"est=(?P<est>\d+) actual=(?P<actual>\d+) q=(?P<q>[\d.]+) "
+    r"est=(?P<est>\d+) actual=(?P<actual>\d+) q=(?P<q>[\d.]+|-) "
     r"invocations=(?P<inv>\d+)"
+)
+
+#: a LEFT join whose inner index probe runs once per outer row
+LEFT = (
+    "SELECT e.emp_id, j.job_title FROM employees e "
+    "LEFT JOIN job_history j ON j.emp_id = e.emp_id "
+    "WHERE e.salary > 29000"
 )
 
 
@@ -47,19 +54,24 @@ class TestExplainAnalyze:
         for line in operator_lines:
             match = OPERATOR_LINE.search(line)
             assert match, f"{name}: operator line missing stats: {line!r}"
+            if match.group("q") == "-":
+                continue  # its consumer stops early: not scored
             est = int(match.group("est"))
             actual = int(match.group("actual"))
             q = float(match.group("q"))
-            # est is rendered rounded; the true estimate lies anywhere in
-            # [est - 0.5, est + 0.5], so bound q by the interval endpoints
-            # (1.0 is reachable whenever actual falls inside the interval)
+            runs = max(int(match.group("inv")), 1)
+            # est is per invocation and rendered rounded; the true
+            # estimate lies anywhere in [est - 0.5, est + 0.5], so bound q
+            # by the interval endpoints times the invocations (1.0 is
+            # reachable whenever actual falls inside the interval)
+            low_est, high_est = (est - 0.5) * runs, (est + 0.5) * runs
             endpoints = [
-                qerror(est - 0.5, actual),
-                qerror(est + 0.5, actual),
+                qerror(low_est, actual),
+                qerror(high_est, actual),
             ]
             low = (
                 1.0
-                if est - 0.5 <= actual <= est + 0.5
+                if low_est <= actual <= high_est
                 else min(endpoints)
             )
             assert low - 0.01 <= q <= max(endpoints) + 0.01, (
@@ -114,6 +126,40 @@ class TestExplainAnalyze:
         result = hr_db.execute(ALL_RUNNABLE["Q1"], analyze=True)
         invocations = result.exec_stats.node_invocations
         assert max(invocations.values()) >= 1
+
+    @pytest.mark.parametrize("executor", ["row", "vector"])
+    def test_parameterised_inner_is_scored_per_probe(self, hr_db, executor):
+        # ~2.8 history rows per employee: the per-probe estimate is good,
+        # and the rows summed over all probes must not make it look bad
+        result = hr_db.execute(LEFT, analyze=True, executor=executor)
+        (probe,) = [
+            p for p in operator_profiles(result.plan, result.exec_stats)
+            if p["label"].startswith("INDEX SCAN job_history")
+        ]
+        assert probe["invocations"] > 1
+        assert probe["actual"] > 2 * probe["estimated"]
+        assert probe["qerror"] <= 1.2
+
+    @pytest.mark.parametrize("executor", ["row", "vector"])
+    def test_semijoin_inner_is_not_scored(self, hr_db, executor):
+        # the semijoin stops probing at the first match, so its inner's
+        # actual rows say nothing about the estimate
+        result = hr_db.execute(
+            ALL_RUNNABLE["Q2"], analyze=True, executor=executor
+        )
+        profiles = operator_profiles(result.plan, result.exec_stats)
+        (semi,) = [p for p in profiles if p["label"].startswith("NESTED LOOPS SEMI")]
+        inner = semi["plan"].right
+        (inner_profile,) = [p for p in profiles if p["plan"] is inner]
+        assert inner_profile["qerror"] is None
+        text = result.explain_analyze(timing=False)
+        assert f"{inner.label()}  (est=" in text
+        assert "q=-" in text
+        (summary,) = [
+            line for line in text.splitlines()
+            if line.startswith("-- max q-error:")
+        ]
+        assert not summary.endswith(inner.label())
 
     def test_profiler_off_fills_nothing(self, hr_db):
         result = hr_db.execute(ALL_RUNNABLE["Q1"])

@@ -69,8 +69,8 @@ class TestQ1Family:
     def test_q11_shape(self, hr_db):
         tree = hr_db.parse(pq.Q1)
         expected = reference(hr_db, pq.Q1)
-        tree = apply_everywhere(UnnestSubqueryToView(hr_db.catalog), tree)
-        tree = apply_everywhere(GroupByViewMerging(hr_db.catalog), tree)
+        tree, _ = apply_everywhere(UnnestSubqueryToView(hr_db.catalog), tree)
+        tree, _ = apply_everywhere(GroupByViewMerging(hr_db.catalog), tree)
         # Q11: no derived group-by view left; outer block groups on
         # rowids and the correlation column, aggregate moved to HAVING.
         assert tree.group_by
@@ -97,7 +97,7 @@ class TestQ2Q3:
     def test_exists_merges_to_semijoin(self, hr_db):
         tree = hr_db.parse(pq.Q2)
         expected = reference(hr_db, pq.Q2)
-        tree = apply_everywhere(SubqueryMergeUnnesting(hr_db.catalog), tree)
+        tree, _ = apply_everywhere(SubqueryMergeUnnesting(hr_db.catalog), tree)
         semis = [i for i in tree.from_items if i.join_type == "SEMI"]
         assert len(semis) == 1
         # semijoin imposes the partial order: departments precede employees
@@ -109,7 +109,7 @@ class TestQ4Q5Q6:
     def test_q4_to_q6(self, hr_db):
         tree = hr_db.parse(pq.Q4)
         expected = reference(hr_db, pq.Q4)
-        tree = apply_everywhere(JoinElimination(hr_db.catalog), tree)
+        tree, _ = apply_everywhere(JoinElimination(hr_db.catalog), tree)
         assert len(tree.from_items) == 1
         assert tree.from_items[0].table_name == "employees"
         assert evaluate_tree(hr_db, tree) == expected
@@ -117,7 +117,7 @@ class TestQ4Q5Q6:
     def test_q5_to_q6(self, hr_db):
         tree = hr_db.parse(pq.Q5)
         expected = reference(hr_db, pq.Q5)
-        tree = apply_everywhere(JoinElimination(hr_db.catalog), tree)
+        tree, _ = apply_everywhere(JoinElimination(hr_db.catalog), tree)
         assert len(tree.from_items) == 1
         assert evaluate_tree(hr_db, tree) == expected
 

@@ -14,7 +14,7 @@ class TestDisplayNotation:
             "SELECT d.dept_id FROM departments d WHERE EXISTS "
             "(SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id)"
         )
-        tree = apply_everywhere(SubqueryMergeUnnesting(tiny_db.catalog), tree)
+        tree, _ = apply_everywhere(SubqueryMergeUnnesting(tiny_db.catalog), tree)
         text = tree.to_sql()
         # the paper's non-standard semijoin marker: T1.c S= T2.c
         assert "S=" in text
@@ -24,7 +24,7 @@ class TestDisplayNotation:
             "SELECT d.dept_id FROM departments d WHERE NOT EXISTS "
             "(SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id)"
         )
-        tree = apply_everywhere(SubqueryMergeUnnesting(tiny_db.catalog), tree)
+        tree, _ = apply_everywhere(SubqueryMergeUnnesting(tiny_db.catalog), tree)
         assert "A=" in tree.to_sql()
 
     def test_left_join_marker(self, tiny_db):
@@ -52,7 +52,7 @@ class TestSignatureProperties:
             "(SELECT 1 FROM employees e WHERE e.dept_id = d.dept_id)"
         )
         before = tiny_db.parse(sql)
-        after = apply_everywhere(
+        after, _ = apply_everywhere(
             SubqueryMergeUnnesting(tiny_db.catalog), before.clone()
         )
         assert signature(before) != signature(after)

@@ -94,7 +94,7 @@ class TestApplyEverywhere:
             "SELECT v2.emp_id FROM (SELECT v1.emp_id FROM "
             "(SELECT e.emp_id FROM employees e) v1) v2"
         )
-        tree = apply_everywhere(
+        tree, _ = apply_everywhere(
             SpjViewMerging(tiny_db.catalog), tiny_db.parse(sql)
         )
         assert all(i.is_base_table for i in tree.from_items)
@@ -102,7 +102,8 @@ class TestApplyEverywhere:
     def test_no_targets_is_identity(self, tiny_db):
         tree = tiny_db.parse("SELECT emp_id FROM employees")
         before = tree.to_sql()
-        tree = apply_everywhere(SpjViewMerging(tiny_db.catalog), tree)
+        tree, applied = apply_everywhere(SpjViewMerging(tiny_db.catalog), tree)
+        assert applied == []
         assert tree.to_sql() == before
 
 

@@ -23,7 +23,7 @@ from repro.transform.heuristic import (
 def transformed(db, sql, transformation_cls):
     tree = db.parse(sql)
     transformation = transformation_cls(db.catalog)
-    return apply_everywhere(transformation, tree), transformation
+    return apply_everywhere(transformation, tree)[0], transformation
 
 
 def assert_equivalent(db, sql, tree):
