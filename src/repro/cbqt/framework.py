@@ -25,15 +25,14 @@ pullup, set-op conversion, OR expansion, join factorization) are skipped.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .. import env
 from ..analysis import Diagnostic, TransformationAuditor
 from ..analysis.qtree_verifier import expr_texts
 from ..catalog.schema import Catalog
-from ..configstamp import Stamped
 from ..errors import OptimizerError, TransformError
 from ..obs.trace import Tracer
 from ..optimizer.physical import CostBudgetExceeded, PhysicalOptimizer
@@ -67,16 +66,8 @@ from .search import STRATEGIES, SearchResult, choose_strategy
 ApplyFn = Callable[[QueryNode], QueryNode]
 
 
-def _env_debug_checks() -> bool:
-    """Paranoid-mode default, from ``REPRO_DEBUG_CHECKS`` (the test suite
-    sets it so every transform application runs under the sanitizer)."""
-    return os.environ.get("REPRO_DEBUG_CHECKS", "").lower() in (
-        "1", "true", "on", "yes",
-    )
-
-
-@dataclass
-class CbqtConfig(Stamped):
+@dataclass(frozen=True)
+class CbqtConfig:
     """Knobs of the cost-based transformation framework."""
 
     #: master switch: False reproduces pre-10g heuristic mode
@@ -94,7 +85,7 @@ class CbqtConfig(Stamped):
     #: paranoid mode: run the query-tree and plan verifiers around every
     #: transformation step and CBQT search state, raising
     #: :class:`~repro.errors.VerificationError` on any violation
-    debug_checks: bool = field(default_factory=_env_debug_checks)
+    debug_checks: bool = field(default_factory=env.debug_checks)
 
 
 @dataclass

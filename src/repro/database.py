@@ -17,7 +17,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO
 from .analysis import DiagnosticReport, TransformationAuditor
 from .catalog.schema import Catalog, Index, TableDef
 from .catalog.statistics import StatisticsRegistry, collect_statistics
-from .configstamp import Stamped
 from .cbqt.caching import DynamicSamplingCache
 from .cbqt.framework import CbqtConfig, CbqtFramework, OptimizationReport
 from .durability import (
@@ -39,6 +37,7 @@ from .engine.expressions import FunctionRegistry
 from .engine.reference import ReferenceEvaluator
 from .engine.tables import Storage, StorageSnapshot
 from .engine.vector import VectorExecutor
+from .env import EXECUTOR_MODES, executor_mode
 from .errors import (
     CatalogError,
     DurabilityError,
@@ -71,27 +70,14 @@ from .resilience import (
 from .sql import ast, parse_query, parse_statement
 from .transform.pipeline import TRANSFORMATION_NAMES
 
-#: execution engines selectable per database / per statement; "vector"
-#: (the default) runs the batch engine, "row" is the classic
-#: row-at-a-time escape hatch (also reachable via the ``REPRO_EXEC``
-#: environment variable)
-EXECUTOR_MODES = ("row", "vector")
 
-
-def _default_executor_mode() -> str:
-    mode = os.environ.get("REPRO_EXEC", "").strip().lower()
-    if not mode:
-        return "vector"
-    if mode not in EXECUTOR_MODES:
-        raise ExecutionError(
-            f"REPRO_EXEC={mode!r} is not one of {'/'.join(EXECUTOR_MODES)}"
-        )
-    return mode
-
-
-@dataclass
-class OptimizerConfig(Stamped):
+@dataclass(frozen=True)
+class OptimizerConfig:
     """All optimizer knobs; the evaluation section's switches map 1:1.
+
+    A config is a value: frozen and hashable, so the plan cache keys a
+    statement on it directly.  Variants are new values, made with the
+    helpers below or :func:`dataclasses.replace`.
 
     * Figure 2: ``OptimizerConfig()`` vs ``OptimizerConfig.heuristic_mode()``
     * Figure 3: default vs ``OptimizerConfig.without("unnest_view",
@@ -276,7 +262,7 @@ class Database:
         self.tracer: Optional[Tracer] = None
         #: default execution engine ("row" / "vector"),
         #: overridable per statement via ``execute(..., executor=...)``
-        self.executor_mode: str = _default_executor_mode()
+        self.executor_mode: str = executor_mode()
         #: durable-storage manager; None = pure in-memory instance (the
         #: default, and the zero-cost path every mutation is guarded on)
         self.durability: Optional[DurabilityManager] = None

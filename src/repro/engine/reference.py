@@ -227,12 +227,7 @@ class ReferenceEvaluator:
     ) -> list[Row]:
         if item.join_type == "INNER":
             result = []
-            # A derived item correlated to anything beyond the outer
-            # binding must be re-evaluated per row: no hash fast path.
-            laterally_correlated = item.is_derived and any(
-                ref.qualifier for ref in item.subquery.correlation_refs()
-            )
-            if equi is not None and not laterally_correlated:
+            if equi is not None and not _reads_prefix(item):
                 _idx, prefix_fn, item_fn = equi
                 buckets: dict[object, list[Row]] = {}
                 for addition in self._item_rows(item, outer):
@@ -260,9 +255,18 @@ class ReferenceEvaluator:
         cond_fn = (
             self._compiler.compile(condition) if condition is not None else None
         )
+        # an item that reads nothing of the prefix row yields the same
+        # rows under every one of them: produce those once
+        shared = (
+            list(self._item_rows(item, outer))
+            if current and not _reads_prefix(item) else None
+        )
         result = []
         for row in current:
-            additions = list(self._item_rows(item, row))
+            additions = (
+                shared if shared is not None
+                else list(self._item_rows(item, row))
+            )
             if item.join_type == "LEFT":
                 matched = False
                 for addition in additions:
@@ -377,6 +381,15 @@ class ReferenceEvaluator:
         for window in windows:
             compute_window(window, rows, self._compiler, _sort_key)
         return rows
+
+
+def _reads_prefix(item: FromItem) -> bool:
+    """Whether *item*'s rows may depend on the prefix row it joins: a
+    derived item correlated to anything beyond the outer binding is
+    re-evaluated per row (no hash fast path, no shared rows)."""
+    return item.is_derived and any(
+        ref.qualifier for ref in item.subquery.correlation_refs()
+    )
 
 
 class _Runner:

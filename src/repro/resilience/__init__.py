@@ -30,13 +30,12 @@ four safeguards, plus the harness that proves them:
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .. import env
 from ..errors import ReproError
-from ..configstamp import Stamped
 from .cancel import CancelToken, activate, current_token
 from .faults import (
     FaultInjector,
@@ -48,22 +47,13 @@ from .governor import GovernorStats, SearchGovernor
 from .quarantine import QuarantineRegistry
 
 
-def _env_fallback() -> bool:
-    """Degradation-ladder default from ``REPRO_FALLBACK`` (on unless
-    explicitly disabled; the test suite disables it so corruption aborts
-    loudly instead of being recovered)."""
-    return os.environ.get("REPRO_FALLBACK", "").lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
-@dataclass
-class ResilienceConfig(Stamped):
+@dataclass(frozen=True)
+class ResilienceConfig:
     """Knobs of the resilience layer (one per safeguard)."""
 
     #: degradation ladder: recover from optimizer errors by retrying at
     #: lower optimization levels instead of failing the statement
-    fallback: bool = field(default_factory=_env_fallback)
+    fallback: bool = field(default_factory=env.fallback)
     #: search governor wall-clock deadline per statement (seconds)
     governor_deadline: Optional[float] = None
     #: search governor budget on cost estimations per statement

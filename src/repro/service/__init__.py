@@ -5,7 +5,6 @@ See :mod:`repro.service.service` for the architecture overview.
 """
 
 from .binds import BindPredicate, extract_bind_profile, max_drift, normalize_binds
-from .metrics import CacheMetrics
 from .plan_cache import CacheEntry, PlanCache, normalize_sql
 from .service import (
     DEFAULT_REOPTIMIZE_THRESHOLD,
@@ -18,7 +17,6 @@ from .service import (
 __all__ = [
     "BindPredicate",
     "CacheEntry",
-    "CacheMetrics",
     "Cursor",
     "DEFAULT_REOPTIMIZE_THRESHOLD",
     "PlanCache",

@@ -1,11 +1,11 @@
 """A concurrency-safe shared plan cache (the library cache).
 
-Entries are keyed on normalized SQL text plus the optimizer-config
-fingerprint, and record the catalog and statistics versions of every
-base table the plan depends on.  Staleness is therefore an O(1) version
-comparison performed lazily at lookup — DDL on table ``t`` or
-``analyze('t')`` invalidates exactly the entries referencing ``t``, and
-nothing else (fine-grained invalidation).
+Entries are keyed on normalized SQL text plus the optimizer config (a
+frozen, hashable value), and record the catalog and statistics versions
+of every base table the plan depends on.  Staleness is therefore an
+O(1) version comparison performed lazily at lookup — DDL on table ``t``
+or ``analyze('t')`` invalidates exactly the entries referencing ``t``,
+and nothing else (fine-grained invalidation).
 
 Capacity is bounded; the least recently used entry is evicted first,
 as in Oracle's shared pool.
@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..database import OptimizedQuery
+from ..obs.metrics import MetricsRegistry
 from ..resilience import faults
 from .binds import BindPredicate
-from .metrics import CacheMetrics
 
 #: table -> (catalog_version, statistics_version) at optimize time
 Dependencies = dict
@@ -57,14 +57,18 @@ def normalize_sql(sql: str) -> str:
 
 
 class PlanCache:
-    """LRU plan cache with version-based invalidation."""
+    """LRU plan cache with version-based invalidation.  It counts its
+    invalidations and evictions as ``plan_cache.*`` counters of
+    *registry* (a private one when none is given)."""
 
     def __init__(self, capacity: int = 128,
-                 metrics: Optional[CacheMetrics] = None):
+                 registry: Optional[MetricsRegistry] = None):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        self.metrics = metrics or CacheMetrics()
+        registry = registry or MetricsRegistry()
+        self._invalidations = registry.counter("plan_cache.invalidations")
+        self._evictions = registry.counter("plan_cache.evictions")
         self._lock = threading.RLock()
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
 
@@ -83,7 +87,7 @@ class PlanCache:
             for table, recorded in entry.dependencies.items():
                 if versions(table) != recorded:
                     del self._entries[key]
-                    self.metrics.bump("invalidations")
+                    self._invalidations.inc()
                     return None
             self._entries.move_to_end(key)
             entry.executions += 1
@@ -97,7 +101,7 @@ class PlanCache:
             self._entries.move_to_end(entry.key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.metrics.bump("evictions")
+                self._evictions.inc()
 
     def invalidate(self, table: Optional[str] = None) -> int:
         """Eagerly drop entries depending on *table* (all entries when
@@ -115,7 +119,7 @@ class PlanCache:
                 for key in stale:
                     del self._entries[key]
                 removed = len(stale)
-            self.metrics.bump("invalidations", removed)
+            self._invalidations.inc(removed)
             return removed
 
     # -- introspection -----------------------------------------------------

@@ -12,6 +12,11 @@ This is a miniature of Oracle's server-side cursor machinery:
   (adaptive cursor sharing);
 * DDL and ``analyze()`` invalidate exactly the dependent entries via the
   catalog/statistics version counters.
+
+The service and its cache count into ``plan_cache.*`` counters (and the
+``plan_cache.optimize_seconds`` / ``execute_seconds`` histograms) of the
+database's :class:`~repro.obs.metrics.MetricsRegistry`, Oracle's
+V$LIBRARYCACHE; :meth:`QueryService.cache_stats` is their view.
 """
 
 from __future__ import annotations
@@ -20,21 +25,35 @@ import threading
 import time
 from typing import Callable, Optional
 
-from .. import configstamp
 from ..database import Database, OptimizerConfig, QueryResult, ReadSnapshot
 from ..errors import ReproError, StatementCancelled, StatementTimeout
+from ..obs.metrics import MetricsRegistry
 from ..qtree.binds import apply_peeks, referenced_tables
 from ..resilience import CancelToken, activate
 from .binds import extract_bind_profile, max_drift, normalize_binds
-from .metrics import CacheMetrics
 from .plan_cache import CacheEntry, PlanCache, normalize_sql
 
 #: re-optimize when the selectivity ratio between the peeked plan and the
 #: current binds exceeds this factor
 DEFAULT_REOPTIMIZE_THRESHOLD = 8.0
 
-#: distinct config objects whose cache-key text the service remembers
-_CONFIG_KEYS = 32
+#: ``plan_cache.<name>`` counters in the order the statistics list them
+_COUNTERS = (
+    "hits",
+    "misses",
+    "invalidations",
+    "evictions",
+    "reoptimizations",
+    "executions",
+    "single_flight_waits",
+    "degraded_executions",
+    "degraded_retries",
+    "cache_errors",
+    "timeouts",
+    "cancellations",
+)
+#: ``plan_cache.<name>`` histograms whose totals the statistics list
+_TIMERS = ("optimize_seconds", "execute_seconds")
 
 
 class PreparedStatement:
@@ -142,8 +161,24 @@ class QueryService:
         caching: bool = True,
     ):
         self.database = database
-        self.metrics = CacheMetrics()
-        self.cache = PlanCache(capacity, self.metrics)
+        # a detached database (metrics None) still gets cache statistics
+        registry = self._registry = database.metrics or MetricsRegistry()
+        self.cache = PlanCache(capacity, registry)
+        self._hits = registry.counter("plan_cache.hits")
+        self._misses = registry.counter("plan_cache.misses")
+        self._reoptimizations = registry.counter("plan_cache.reoptimizations")
+        self._executions = registry.counter("plan_cache.executions")
+        # concurrent misses that waited on a single-flight leader instead
+        # of redundantly hard parsing (thundering-herd avoidance)
+        self._single_flight_waits = registry.counter("plan_cache.single_flight_waits")
+        # resilience layer (degradation ladder / quarantine / cancellation)
+        self._degraded_executions = registry.counter("plan_cache.degraded_executions")
+        self._degraded_retries = registry.counter("plan_cache.degraded_retries")
+        self._cache_errors = registry.counter("plan_cache.cache_errors")
+        self._timeouts = registry.counter("plan_cache.timeouts")
+        self._cancellations = registry.counter("plan_cache.cancellations")
+        self._optimize_seconds = registry.histogram("plan_cache.optimize_seconds")
+        self._execute_seconds = registry.histogram("plan_cache.execute_seconds")
         self.reoptimize_threshold = reoptimize_threshold
         self.caching = caching
         # single-flight hard parsing: concurrent misses on one cache key
@@ -151,15 +186,10 @@ class QueryService:
         # stored entry instead of thundering-herd re-optimizing
         self._gate_lock = threading.Lock()
         self._gates: dict[tuple, threading.Lock] = {}
-        #: id(config) -> (config, configstamp epoch, repr(config))
-        self._config_keys: dict[int, tuple] = {}
-        # surface the plan-cache accounting in Database.snapshot();
-        # collectors run at snapshot time only, so this costs nothing
-        # on the serving path
+        # the plan_cache view in Database.snapshot(); collectors run at
+        # snapshot time only, so this costs nothing on the serving path
         if database.metrics is not None:
-            database.metrics.register_collector(
-                "plan_cache", self.cache_stats
-            )
+            registry.register_collector("plan_cache", self.cache_stats)
 
     # -- session / statement construction ----------------------------------
 
@@ -219,15 +249,15 @@ class QueryService:
                     storage=snapshot.storage if snapshot else None,
                 )
         except StatementTimeout:
-            self.metrics.bump("timeouts")
+            self._timeouts.inc()
             raise
         except StatementCancelled:
-            self.metrics.bump("cancellations")
+            self._cancellations.inc()
             raise
-        self.metrics.bump("executions")
+        self._executions.inc()
         if entry.degraded is not None:
-            self.metrics.bump("degraded_executions")
-        self.metrics.add_time("execute_seconds", result.execute_seconds)
+            self._degraded_executions.inc()
+        self._execute_seconds.record(result.execute_seconds)
         return result
 
     def explain(
@@ -244,7 +274,7 @@ class QueryService:
             f"-- cache: {status}\n"
             + entry.optimized.explain()
             + "\n"
-            + self.metrics.format_table()
+            + _format_counts(self.cache_stats())
         )
 
     # -- cache management --------------------------------------------------
@@ -256,8 +286,17 @@ class QueryService:
         return self.cache.invalidate(table)
 
     def cache_stats(self) -> dict:
-        """Counters plus current occupancy."""
-        stats = self.metrics.snapshot()
+        """The ``plan_cache.*`` counters, the optimize / execute seconds
+        spent, the hit ratio, and the current occupancy."""
+        registry = self._registry
+        stats: dict = {
+            name: registry.counter(f"plan_cache.{name}").value
+            for name in _COUNTERS
+        }
+        for name in _TIMERS:
+            stats[name] = registry.histogram(f"plan_cache.{name}").total
+        lookups = stats["hits"] + stats["misses"]
+        stats["hit_ratio"] = stats["hits"] / lookups if lookups else 0.0
         stats["entries"] = len(self.cache)
         stats["capacity"] = self.cache.capacity
         return stats
@@ -265,7 +304,7 @@ class QueryService:
     def format_cache_stats(self) -> str:
         stats = self.cache_stats()
         return (
-            self.metrics.format_table()
+            _format_counts(stats)
             + f"\n  {'entries':<16} {stats['entries']}"
             + f"\n  {'capacity':<16} {stats['capacity']}"
         )
@@ -279,18 +318,8 @@ class QueryService:
         )
 
     def _key(self, sql: str, config: Optional[OptimizerConfig]) -> tuple:
-        """Normalized text plus the effective config's ``repr``, which is
-        remembered per config object until a config write advances the
-        :func:`~repro.configstamp.epoch`."""
-        effective = config or self.database.config
-        epoch = configstamp.epoch()
-        known = self._config_keys.get(id(effective))
-        if known is None or known[0] is not effective or known[1] != epoch:
-            if len(self._config_keys) >= _CONFIG_KEYS:
-                self._config_keys.clear()
-            known = (effective, epoch, repr(effective))
-            self._config_keys[id(effective)] = known
-        return (normalize_sql(sql), known[2])
+        """Normalized text plus the effective config, a hashable value."""
+        return (normalize_sql(sql), config or self.database.config)
 
     def _cursor_for(
         self,
@@ -314,7 +343,14 @@ class QueryService:
         entry, status, seconds = self._resolve_cursor(
             sql, bind_map, config, token, versions or self._versions
         )
-        self.metrics.bump("hits" if status == "hit" else "misses")
+        if status == "hit":
+            self._hits.inc()
+        else:
+            self._misses.inc()
+            if status == "reoptimized":
+                self._reoptimizations.inc()
+            elif status == "retry":
+                self._degraded_retries.inc()
         return entry, status, seconds
 
     def _resolve_cursor(
@@ -339,7 +375,7 @@ class QueryService:
         except ReproError:
             # A broken cache must not take statements down with it:
             # degrade to an uncached hard parse for this call.
-            self.metrics.bump("cache_errors")
+            self._cache_errors.inc()
             entry, seconds = self._hard_parse(
                 key, sql, bind_map, config, token, reader
             )
@@ -356,8 +392,7 @@ class QueryService:
             # The quarantine was reset since this fallback plan was built:
             # give the statement another shot at full CBQT.
             return self._build_gated(
-                key, sql, bind_map, config, token, reader, "retry",
-                counter="degraded_retries",
+                key, sql, bind_map, config, token, reader, "retry"
             )
 
         if entry.bind_profile and bind_map != entry.peeked_binds:
@@ -366,8 +401,7 @@ class QueryService:
             )
             if drift > self.reoptimize_threshold:
                 return self._build_gated(
-                    key, sql, bind_map, config, token, reader, "reoptimized",
-                    counter="reoptimizations",
+                    key, sql, bind_map, config, token, reader, "reoptimized"
                 )
         return entry, "hit", 0.0
 
@@ -380,7 +414,6 @@ class QueryService:
         token: Optional[CancelToken],
         reader: Callable[[str], tuple],
         status: str,
-        counter: Optional[str] = None,
     ) -> tuple[CacheEntry, str, float]:
         """Hard parse behind a per-key gate (single flight).
 
@@ -399,7 +432,7 @@ class QueryService:
             gate.acquire()
         try:
             if not leader:
-                self.metrics.bump("single_flight_waits")
+                self._single_flight_waits.inc()
                 if token is not None:
                     token.check()
             if not leader or status == "miss":
@@ -413,8 +446,6 @@ class QueryService:
                 key, sql, bind_map, config, token, reader
             )
             self._store(entry)
-            if counter is not None:
-                self.metrics.bump(counter)
             return entry, status, seconds
         finally:
             gate.release()
@@ -448,7 +479,7 @@ class QueryService:
         except (StatementTimeout, StatementCancelled):
             raise
         except ReproError:
-            self.metrics.bump("cache_errors")
+            self._cache_errors.inc()
 
     def _hard_parse(
         self,
@@ -482,7 +513,7 @@ class QueryService:
             tree, sql, config, token=token, rebuild=rebuild
         )
         seconds = time.perf_counter() - started
-        self.metrics.add_time("optimize_seconds", seconds)
+        self._optimize_seconds.record(seconds)
         degradation = optimized.report.degradation
         entry = CacheEntry(
             key=key,
@@ -495,3 +526,12 @@ class QueryService:
             quarantine_epoch=epoch,
         )
         return entry, seconds
+
+
+def _format_counts(stats: dict) -> str:
+    """The counter and timer rows of :meth:`QueryService.cache_stats`."""
+    lines = ["plan cache statistics"]
+    lines += [f"  {name:<16} {stats[name]}" for name in _COUNTERS]
+    lines.append(f"  {'hit_ratio':<16} {stats['hit_ratio']:.3f}")
+    lines += [f"  {name:<16} {stats[name]:.6f}" for name in _TIMERS]
+    return "\n".join(lines)

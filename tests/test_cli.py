@@ -157,8 +157,8 @@ class TestPlanCache:
         feed(shell, "SELECT id FROM t;\nSELECT id FROM t;")
         text = feed(shell, ".cache stats")
         assert "plan cache statistics" in text
-        assert shell.service.metrics.hits == 1
-        assert shell.service.metrics.misses == 1
+        assert shell.service.cache_stats()["hits"] == 1
+        assert shell.service.cache_stats()["misses"] == 1
 
     def test_cache_clear_and_toggle(self, shell):
         feed(shell, SETUP)
@@ -167,7 +167,7 @@ class TestPlanCache:
         assert "plan cache cleared (1 entries)" in text
         feed(shell, ".cache off")
         feed(shell, "SELECT id FROM t;\nSELECT id FROM t;")
-        assert shell.service.metrics.hits == 0
+        assert shell.service.cache_stats()["hits"] == 0
         text = feed(shell, ".cache bogus")
         assert "usage" in text
 
@@ -176,6 +176,18 @@ class TestPlanCache:
         text = feed(shell, "SELECT id FROM t;\nSELECT id FROM t;")
         assert "-- cache: miss" in text
         assert "-- cache: hit" in text
+
+    def test_disable_swaps_the_config_so_the_next_statement_misses(
+        self, shell
+    ):
+        feed(shell, SETUP)
+        feed(shell, "SELECT id FROM t;\nSELECT id FROM t;")
+        assert shell.service.cache_stats()["misses"] == 1
+        feed(shell, ".disable jppd\nSELECT id FROM t;")
+        stats = shell.service.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 2, 2)
+        feed(shell, "SELECT id FROM t;")
+        assert shell.service.cache_stats()["hits"] == 2
 
 
 class TestSubcommands:

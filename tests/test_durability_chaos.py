@@ -79,6 +79,28 @@ def _spawn_child(data_dir: str, start_batch: int) -> subprocess.Popen:
     )
 
 
+def _read_until_killed(
+    child: subprocess.Popen, kill_after: int, pause: float
+) -> list[str]:
+    """Read *child*'s stdout lines; once *kill_after* have arrived, sleep
+    *pause* seconds, SIGKILL the child, reap it, and read everything it
+    printed before it died.
+
+    The rest is read from ``child.stdout`` itself, not from the raw pipe
+    (as ``communicate`` would): the text wrapper may already hold lines
+    it read ahead while yielding the last one."""
+    lines: list[str] = []
+    for line in child.stdout:
+        lines.append(line)
+        if len(lines) >= kill_after:
+            time.sleep(pause)
+            child.kill()
+            break
+    child.wait(timeout=30)
+    lines.extend(child.stdout.read().splitlines())
+    return lines
+
+
 def _run_until_killed(
     data_dir: str, start_batch: int, rng: random.Random
 ) -> list[int]:
@@ -86,25 +108,18 @@ def _run_until_killed(
     return the batches acknowledged before death."""
     child = _spawn_child(data_dir, start_batch)
     kill_after = rng.randint(2, 25)
-    lines: list[str] = []
+    # land the kill at an uncontrolled point inside a later commit: a
+    # short random sleep races the child, which keeps committing into
+    # the pipe buffer meanwhile; ACKs printed before the kill count
+    pause = rng.random() * 0.01
     try:
-        for line in child.stdout:
-            lines.append(line)
-            if len(lines) >= kill_after:
-                # land the kill at an uncontrolled point inside a later
-                # commit: a short random sleep races the child, which
-                # keeps committing into the pipe buffer meanwhile
-                time.sleep(rng.random() * 0.01)
-                child.kill()
-                break
-        # drain ACKs buffered between our last read and the kill — the
-        # child printed them after its commit returned, so they count
-        rest, _ = child.communicate(timeout=30)
-        lines.extend(rest.splitlines())
+        lines = _read_until_killed(child, kill_after, pause)
     finally:
         if child.poll() is None:
             child.kill()
             child.wait(timeout=30)
+        child.stdout.close()
+        child.stderr.close()
     assert child.returncode == -signal.SIGKILL, (
         f"child exited {child.returncode}, expected SIGKILL"
     )
@@ -114,6 +129,30 @@ def _run_until_killed(
         if line.startswith("ACK ") and line != "ACK ddl":
             acked.append(int(line.split()[1]))
     return acked
+
+
+def test_read_until_killed_keeps_read_ahead_lines():
+    """A child that prints 500 ACKs in one write and then sleeps: the
+    first line pulls all of them into the text wrapper's buffer, and
+    every one must still be counted after the kill."""
+    source = (
+        "import sys, time\n"
+        "sys.stdout.write(''.join(f'ACK {i}\\n' for i in range(500)))\n"
+        "sys.stdout.flush()\n"
+        "time.sleep(60)\n"
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", source],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        lines = _read_until_killed(child, kill_after=1, pause=0.0)
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+        child.stderr.close()
+    assert [line.strip() for line in lines] == [f"ACK {i}" for i in range(500)]
 
 
 def _check_recovered(data_dir: str, acked: list[int], kills: int) -> int:

@@ -108,7 +108,7 @@ class TestStatementTimeout:
         session = service.session()
         with pytest.raises(StatementTimeout):
             session.execute(SQL, timeout=0.0)
-        assert service.metrics.snapshot()["timeouts"] == 1
+        assert service.cache_stats()["timeouts"] == 1
 
 
 class TestCursorCancel:
@@ -131,7 +131,7 @@ class TestCursorCancel:
             canceller.cancel()
         assert time.perf_counter() - started < 5.0
         assert cursor.cancelled
-        assert service.metrics.snapshot()["cancellations"] == 1
+        assert service.cache_stats()["cancellations"] == 1
 
     def test_pre_cancelled_cursor_refuses_to_run(self, db):
         service = QueryService(db)

@@ -149,7 +149,7 @@ class TestServiceChaos:
             result = service.execute(sql, config=RESILIENT)
         assert Counter(result.rows) == expected
         assert result.cache_status == "uncached"
-        assert service.metrics.snapshot()["cache_errors"] >= 1
+        assert service.cache_stats()["cache_errors"] >= 1
 
     def test_cache_store_fault_still_serves(self, apps):
         db, _schema = apps
@@ -159,7 +159,7 @@ class TestServiceChaos:
         with inject(FaultSpec("plan_cache.store", repeat=True)):
             result = service.execute(sql, config=RESILIENT)
         assert Counter(result.rows) == expected
-        assert service.metrics.snapshot()["cache_errors"] >= 1
+        assert service.cache_stats()["cache_errors"] >= 1
         # nothing poisoned: the next fault-free call parses and caches
         again = service.execute(sql, config=RESILIENT)
         assert Counter(again.rows) == expected
@@ -189,7 +189,7 @@ class TestServiceChaos:
         # served degraded from cache while the quarantine stands
         second = service.execute(sql, config=RESILIENT)
         assert second.cache_status == "hit"
-        assert service.metrics.snapshot()["degraded_executions"] >= 2
+        assert service.cache_stats()["degraded_executions"] >= 2
 
         # a quarantine reset re-attempts the statement at full CBQT
         db.quarantine.reset()
@@ -197,6 +197,6 @@ class TestServiceChaos:
         assert third.cache_status == "retry"
         assert Counter(third.rows) == expected
         assert third.report.degradation is None
-        assert service.metrics.snapshot()["degraded_retries"] == 1
+        assert service.cache_stats()["degraded_retries"] == 1
         entry = next(e for e in service.cache.entries() if e.sql == sql)
         assert entry.degraded is None

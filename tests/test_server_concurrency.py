@@ -136,7 +136,7 @@ def test_concurrent_hard_parse_single_flight():
     # released it, re-checks the cache before parsing
     assert db.metrics.counter("optimizer.statements").value == 1
     assert len(service.cache) == 1
-    snap = service.metrics.snapshot()
+    snap = service.cache_stats()
     assert snap["executions"] == threads
     assert snap["misses"] == 1
     assert snap["hits"] == threads - 1
@@ -207,7 +207,7 @@ def test_invalidation_racing_lookup_stays_correct():
     # versions settled: one more execute must land a hit on a valid entry
     assert service.execute(sql).rows[0][0] == 30 + 15
     assert service.execute(sql).cache_status == "hit"
-    assert service.metrics.snapshot()["invalidations"] >= 1
+    assert service.cache_stats()["invalidations"] >= 1
 
 
 # -- copy-on-write storage atomicity -----------------------------------------

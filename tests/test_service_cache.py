@@ -82,7 +82,7 @@ def test_analyze_invalidates_dependent_entries_only():
     on_b = service.execute("SELECT b.id FROM b WHERE b.y = 1")
     assert on_a.cache_status == "miss"  # stale: stats version bumped
     assert on_b.cache_status == "hit"   # untouched table stays cached
-    assert service.metrics.invalidations == 1
+    assert service.cache_stats()["invalidations"] == 1
 
 
 def test_ddl_invalidates_dependent_entries_only():
@@ -139,13 +139,13 @@ def test_lru_eviction_order_under_small_capacity():
     service.execute(q_c)  # evicts q_a (LRU)
     cached_texts = [key[0] for key in service.cache.keys()]
     assert normalize_sql(q_a) not in cached_texts
-    assert service.metrics.evictions == 1
+    assert service.cache_stats()["evictions"] == 1
 
     service.execute(q_b)  # touch: q_b becomes MRU
     service.execute(q_a)  # re-parse; evicts q_c, not the just-touched q_b
     cached_texts = [key[0] for key in service.cache.keys()]
     assert cached_texts == [normalize_sql(q_b), normalize_sql(q_a)]
-    assert service.metrics.evictions == 2
+    assert service.cache_stats()["evictions"] == 2
 
 
 # -- adaptive cursor sharing -----------------------------------------------
@@ -171,7 +171,7 @@ def test_bind_drift_triggers_reoptimization_and_stays_correct():
     # the popular value is ~91x more selective than peeked: re-optimize
     popular = statement.execute({"k": 0})
     assert popular.cache_status == "reoptimized"
-    assert service.metrics.reoptimizations == 1
+    assert service.cache_stats()["reoptimizations"] == 1
     assert sorted(popular.rows) == sorted(
         db.reference_execute(sql, binds={"k": 0})
     )
@@ -191,7 +191,7 @@ def test_small_drift_shares_the_cached_plan():
     # all rare kinds have identical frequency: no drift, plan shared
     for kind in (4, 5, 6):
         assert service.execute(sql, {"k": kind}).cache_status == "hit"
-    assert service.metrics.reoptimizations == 0
+    assert service.cache_stats()["reoptimizations"] == 0
 
 
 # -- version counters (satellite) ------------------------------------------
