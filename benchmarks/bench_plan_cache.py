@@ -64,19 +64,17 @@ def test_plan_cache_throughput(hr_db):
     uncached = QueryService(hr_db, caching=False)
 
     # Warm once outside the timed region (first-touch costs like lazy
-    # imports should not skew either side).  Both services count into
-    # the database's plan_cache.* counters, so the cached side's are
-    # read before the uncached side runs.
+    # imports should not skew either side).
     cached.execute(STATEMENTS[0][0], STATEMENTS[0][1](0))
-    on_seconds, executions = _replay(cached)
-    stats = cached.cache_stats()
-
     uncached.execute(STATEMENTS[0][0], STATEMENTS[0][1](0))
+
+    on_seconds, executions = _replay(cached)
     off_seconds, _ = _replay(uncached)
 
     on_throughput = executions / on_seconds
     off_throughput = executions / off_seconds
     speedup = on_throughput / off_throughput
+    stats = cached.cache_stats()
 
     report = "\n".join([
         "plan cache on vs off, repeated parameterized workload "

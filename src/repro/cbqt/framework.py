@@ -85,7 +85,9 @@ class CbqtConfig:
     #: paranoid mode: run the query-tree and plan verifiers around every
     #: transformation step and CBQT search state, raising
     #: :class:`~repro.errors.VerificationError` on any violation
-    debug_checks: bool = field(default_factory=env.debug_checks)
+    debug_checks: bool = field(
+        default_factory=lambda: env.flag("REPRO_DEBUG_CHECKS", False)
+    )
 
 
 @dataclass

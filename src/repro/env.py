@@ -16,14 +16,10 @@ from .errors import ExecutionError
 EXECUTOR_MODES = ("row", "vector")
 
 
-def _read(name: str) -> str:
-    return os.environ.get(name, "").strip().lower()
-
-
-def env_flag(name: str, default: bool) -> bool:
+def flag(name: str, default: bool) -> bool:
     """The switch *name*: ``1/true/on/yes`` is on, ``0/off/false/no`` is
     off, anything else (unset included) is *default*."""
-    value = _read(name)
+    value = os.environ.get(name, "").lower()
     if value in ("1", "true", "on", "yes"):
         return True
     if value in ("0", "off", "false", "no"):
@@ -31,19 +27,9 @@ def env_flag(name: str, default: bool) -> bool:
     return default
 
 
-def debug_checks() -> bool:
-    """``REPRO_DEBUG_CHECKS``: paranoid mode, off unless switched on."""
-    return env_flag("REPRO_DEBUG_CHECKS", False)
-
-
-def fallback() -> bool:
-    """``REPRO_FALLBACK``: the degradation ladder, on unless switched off."""
-    return env_flag("REPRO_FALLBACK", True)
-
-
 def executor_mode() -> str:
     """``REPRO_EXEC``: ``row`` or ``vector`` (the default when unset)."""
-    mode = _read("REPRO_EXEC") or "vector"
+    mode = os.environ.get("REPRO_EXEC", "").strip().lower() or "vector"
     if mode not in EXECUTOR_MODES:
         raise ExecutionError(
             f"REPRO_EXEC={mode!r} is not one of {'/'.join(EXECUTOR_MODES)}"

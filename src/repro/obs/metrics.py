@@ -13,9 +13,15 @@ Two primitive kinds plus collectors:
 * :class:`Histogram` — count/total/min/max plus a bounded reservoir of
   the most recent samples for percentile snapshots (p50/p90/p99);
 * *collectors* — callables returning a dict, registered by subsystems
-  that already keep their own thread-safe counters (plan cache,
-  quarantine, sampling cache); they are invoked only at snapshot time,
-  so absorption adds zero cost to the recording paths.
+  that already keep their own thread-safe counters (quarantine,
+  sampling cache) or views over their series (plan cache); they are
+  invoked only at snapshot time, so absorption adds zero cost to the
+  recording paths.
+
+A subsystem with several instances per database (one plan cache per
+:class:`~repro.service.QueryService`) names its series through a
+:class:`MetricsScope`, ``<name>.<n>.<metric>``, so no two instances
+share a series.
 
 Everything is thread-safe; recording is a lock + a few arithmetic ops,
 cheap enough for per-statement call sites (never per-row ones).
@@ -33,6 +39,13 @@ from ..errors import VerificationError
 
 #: most recent samples kept per histogram for percentile estimation
 DEFAULT_RESERVOIR = 1024
+
+
+def _quantile(samples: list[float], q: float) -> float:
+    """The *q*-quantile (0 < q <= 1) of sorted *samples*, 0 when empty."""
+    if not samples:
+        return 0.0
+    return samples[max(0, min(len(samples) - 1, math.ceil(q * len(samples)) - 1))]
 
 
 class Counter:
@@ -88,10 +101,7 @@ class Histogram:
         """The *q*-quantile (0 < q <= 1) over the recent reservoir."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        index = max(0, min(len(samples) - 1, math.ceil(q * len(samples)) - 1))
-        return samples[index]
+        return _quantile(samples, q)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -99,22 +109,15 @@ class Histogram:
             low = self.min if self.count else 0.0
             high = self.max if self.count else 0.0
             samples = sorted(self._samples)
-
-        def pct(q: float) -> float:
-            if not samples:
-                return 0.0
-            index = max(0, min(len(samples) - 1, math.ceil(q * len(samples)) - 1))
-            return samples[index]
-
         return {
             "count": count,
             "total": total,
             "mean": total / count if count else 0.0,
             "min": low,
             "max": high,
-            "p50": pct(0.50),
-            "p90": pct(0.90),
-            "p99": pct(0.99),
+            "p50": _quantile(samples, 0.50),
+            "p90": _quantile(samples, 0.90),
+            "p99": _quantile(samples, 0.99),
         }
 
     def reset(self) -> None:
@@ -126,6 +129,30 @@ class Histogram:
             self._samples.clear()
 
 
+class MetricsScope:
+    """The series of one subsystem instance, ``<prefix>.<name>`` in the
+    registry.  It keeps what it bound, in binding order, so a view can
+    list the instance's metrics without naming each again."""
+
+    __slots__ = ("registry", "prefix", "counters", "histograms")
+
+    def __init__(self, registry: "MetricsRegistry", prefix: str):
+        self.registry = registry
+        self.prefix = prefix
+        self.counters: dict[str, Counter] = {}
+        self.histograms: dict[str, Histogram] = {}
+
+    def counter(self, name: str) -> Counter:
+        counter = self.registry.counter(f"{self.prefix}.{name}")
+        self.counters[name] = counter
+        return counter
+
+    def histogram(self, name: str) -> Histogram:
+        histogram = self.registry.histogram(f"{self.prefix}.{name}")
+        self.histograms[name] = histogram
+        return histogram
+
+
 class MetricsRegistry:
     """Create-on-first-use registry of counters, histograms, and
     collectors, with one consistent snapshot surface."""
@@ -135,6 +162,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, Callable[[], dict]] = {}
+        #: scope name -> instances numbered so far
+        self._scopes: dict[str, int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -157,6 +186,13 @@ class MetricsRegistry:
                     name, Histogram(name, reservoir)
                 )
         return histogram
+
+    def scope(self, name: str) -> MetricsScope:
+        """A new instance's scope, ``<name>.<n>`` with *n* counting the
+        scopes of *name* from 1."""
+        with self._lock:
+            number = self._scopes[name] = self._scopes.get(name, 0) + 1
+        return MetricsScope(self, f"{name}.{number}")
 
     def register_collector(self, name: str, fn: Callable[[], dict]) -> None:
         """Attach a subsystem's own accounting under *name*; *fn* is

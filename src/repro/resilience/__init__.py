@@ -53,7 +53,9 @@ class ResilienceConfig:
 
     #: degradation ladder: recover from optimizer errors by retrying at
     #: lower optimization levels instead of failing the statement
-    fallback: bool = field(default_factory=env.fallback)
+    fallback: bool = field(
+        default_factory=lambda: env.flag("REPRO_FALLBACK", True)
+    )
     #: search governor wall-clock deadline per statement (seconds)
     governor_deadline: Optional[float] = None
     #: search governor budget on cost estimations per statement

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..database import OptimizedQuery
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, MetricsScope
 from ..resilience import faults
 from .binds import BindPredicate
 
@@ -58,17 +58,17 @@ def normalize_sql(sql: str) -> str:
 
 class PlanCache:
     """LRU plan cache with version-based invalidation.  It counts its
-    invalidations and evictions as ``plan_cache.*`` counters of
-    *registry* (a private one when none is given)."""
+    invalidations and evictions in *metrics*, its service's scope (a
+    private one when none is given)."""
 
     def __init__(self, capacity: int = 128,
-                 registry: Optional[MetricsRegistry] = None):
+                 metrics: Optional[MetricsScope] = None):
         if capacity < 1:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
-        registry = registry or MetricsRegistry()
-        self._invalidations = registry.counter("plan_cache.invalidations")
-        self._evictions = registry.counter("plan_cache.evictions")
+        metrics = metrics or MetricsRegistry().scope("plan_cache")
+        self._invalidations = metrics.counter("invalidations")
+        self._evictions = metrics.counter("evictions")
         self._lock = threading.RLock()
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
 

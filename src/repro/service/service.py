@@ -13,9 +13,9 @@ This is a miniature of Oracle's server-side cursor machinery:
 * DDL and ``analyze()`` invalidate exactly the dependent entries via the
   catalog/statistics version counters.
 
-The service and its cache count into ``plan_cache.*`` counters (and the
-``plan_cache.optimize_seconds`` / ``execute_seconds`` histograms) of the
-database's :class:`~repro.obs.metrics.MetricsRegistry`, Oracle's
+Each service and its cache count into their own ``plan_cache.<n>.*``
+counters (and ``optimize_seconds`` / ``execute_seconds`` histograms) of
+the database's :class:`~repro.obs.metrics.MetricsRegistry`, Oracle's
 V$LIBRARYCACHE; :meth:`QueryService.cache_stats` is their view.
 """
 
@@ -36,24 +36,6 @@ from .plan_cache import CacheEntry, PlanCache, normalize_sql
 #: re-optimize when the selectivity ratio between the peeked plan and the
 #: current binds exceeds this factor
 DEFAULT_REOPTIMIZE_THRESHOLD = 8.0
-
-#: ``plan_cache.<name>`` counters in the order the statistics list them
-_COUNTERS = (
-    "hits",
-    "misses",
-    "invalidations",
-    "evictions",
-    "reoptimizations",
-    "executions",
-    "single_flight_waits",
-    "degraded_executions",
-    "degraded_retries",
-    "cache_errors",
-    "timeouts",
-    "cancellations",
-)
-#: ``plan_cache.<name>`` histograms whose totals the statistics list
-_TIMERS = ("optimize_seconds", "execute_seconds")
 
 
 class PreparedStatement:
@@ -161,24 +143,27 @@ class QueryService:
         caching: bool = True,
     ):
         self.database = database
-        # a detached database (metrics None) still gets cache statistics
-        registry = self._registry = database.metrics or MetricsRegistry()
-        self.cache = PlanCache(capacity, registry)
-        self._hits = registry.counter("plan_cache.hits")
-        self._misses = registry.counter("plan_cache.misses")
-        self._reoptimizations = registry.counter("plan_cache.reoptimizations")
-        self._executions = registry.counter("plan_cache.executions")
+        # this service's own plan_cache.<n>.* series (a detached database,
+        # metrics None, still gets cache statistics), bound in the order
+        # the statistics list them: the cache binds its two in between
+        registry = database.metrics or MetricsRegistry()
+        metrics = self._metrics = registry.scope("plan_cache")
+        self._hits = metrics.counter("hits")
+        self._misses = metrics.counter("misses")
+        self.cache = PlanCache(capacity, metrics)
+        self._reoptimizations = metrics.counter("reoptimizations")
+        self._executions = metrics.counter("executions")
         # concurrent misses that waited on a single-flight leader instead
         # of redundantly hard parsing (thundering-herd avoidance)
-        self._single_flight_waits = registry.counter("plan_cache.single_flight_waits")
+        self._single_flight_waits = metrics.counter("single_flight_waits")
         # resilience layer (degradation ladder / quarantine / cancellation)
-        self._degraded_executions = registry.counter("plan_cache.degraded_executions")
-        self._degraded_retries = registry.counter("plan_cache.degraded_retries")
-        self._cache_errors = registry.counter("plan_cache.cache_errors")
-        self._timeouts = registry.counter("plan_cache.timeouts")
-        self._cancellations = registry.counter("plan_cache.cancellations")
-        self._optimize_seconds = registry.histogram("plan_cache.optimize_seconds")
-        self._execute_seconds = registry.histogram("plan_cache.execute_seconds")
+        self._degraded_executions = metrics.counter("degraded_executions")
+        self._degraded_retries = metrics.counter("degraded_retries")
+        self._cache_errors = metrics.counter("cache_errors")
+        self._timeouts = metrics.counter("timeouts")
+        self._cancellations = metrics.counter("cancellations")
+        self._optimize_seconds = metrics.histogram("optimize_seconds")
+        self._execute_seconds = metrics.histogram("execute_seconds")
         self.reoptimize_threshold = reoptimize_threshold
         self.caching = caching
         # single-flight hard parsing: concurrent misses on one cache key
@@ -274,7 +259,7 @@ class QueryService:
             f"-- cache: {status}\n"
             + entry.optimized.explain()
             + "\n"
-            + _format_counts(self.cache_stats())
+            + self._format_counts(self.cache_stats())
         )
 
     # -- cache management --------------------------------------------------
@@ -286,15 +271,14 @@ class QueryService:
         return self.cache.invalidate(table)
 
     def cache_stats(self) -> dict:
-        """The ``plan_cache.*`` counters, the optimize / execute seconds
-        spent, the hit ratio, and the current occupancy."""
-        registry = self._registry
+        """This service's counters, the optimize / execute seconds it
+        spent, its hit ratio, and its cache's current occupancy."""
+        metrics = self._metrics
         stats: dict = {
-            name: registry.counter(f"plan_cache.{name}").value
-            for name in _COUNTERS
+            name: counter.value for name, counter in metrics.counters.items()
         }
-        for name in _TIMERS:
-            stats[name] = registry.histogram(f"plan_cache.{name}").total
+        for name, histogram in metrics.histograms.items():
+            stats[name] = histogram.total
         lookups = stats["hits"] + stats["misses"]
         stats["hit_ratio"] = stats["hits"] / lookups if lookups else 0.0
         stats["entries"] = len(self.cache)
@@ -304,12 +288,21 @@ class QueryService:
     def format_cache_stats(self) -> str:
         stats = self.cache_stats()
         return (
-            _format_counts(stats)
+            self._format_counts(stats)
             + f"\n  {'entries':<16} {stats['entries']}"
             + f"\n  {'capacity':<16} {stats['capacity']}"
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _format_counts(self, stats: dict) -> str:
+        """The counter and timer rows of :meth:`cache_stats`."""
+        metrics = self._metrics
+        lines = ["plan cache statistics"]
+        lines += [f"  {name:<16} {stats[name]}" for name in metrics.counters]
+        lines.append(f"  {'hit_ratio':<16} {stats['hit_ratio']:.3f}")
+        lines += [f"  {name:<16} {stats[name]:.6f}" for name in metrics.histograms]
+        return "\n".join(lines)
 
     def _versions(self, table: str) -> tuple:
         return (
@@ -526,12 +519,3 @@ class QueryService:
             quarantine_epoch=epoch,
         )
         return entry, seconds
-
-
-def _format_counts(stats: dict) -> str:
-    """The counter and timer rows of :meth:`QueryService.cache_stats`."""
-    lines = ["plan cache statistics"]
-    lines += [f"  {name:<16} {stats[name]}" for name in _COUNTERS]
-    lines.append(f"  {'hit_ratio':<16} {stats['hit_ratio']:.3f}")
-    lines += [f"  {name:<16} {stats[name]:.6f}" for name in _TIMERS]
-    return "\n".join(lines)

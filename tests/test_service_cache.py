@@ -71,6 +71,21 @@ def test_identical_sql_hits_cache():
     assert normalize_sql(" SELECT  x\n FROM t ") == "SELECT x FROM t"
 
 
+def test_services_over_one_database_count_apart():
+    db = _two_table_db()
+    first, second = QueryService(db), QueryService(db)
+    sql = "SELECT a.id FROM a WHERE a.x = :v"
+    for _ in range(3):
+        first.execute(sql, {"v": 3})
+    second.execute(sql, {"v": 3})
+    assert (first.cache_stats()["hits"], first.cache_stats()["misses"]) == (2, 1)
+    assert (second.cache_stats()["hits"], second.cache_stats()["misses"]) == (0, 1)
+    assert second.cache_stats()["executions"] == 1
+    counters = db.snapshot()["counters"]
+    assert (counters["plan_cache.1.hits"], counters["plan_cache.2.hits"]) == (2, 0)
+    assert counters["plan_cache.2.misses"] == 1
+
+
 def test_analyze_invalidates_dependent_entries_only():
     db = _two_table_db()
     service = QueryService(db)
